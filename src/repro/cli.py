@@ -360,11 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="FILE",
         help="record a span trace of the run to FILE (JSON lines)",
     )
-    bench.add_argument(
-        "--kernels", choices=("scalar", "vector"), default=None,
-        help="pin the kernel implementation family for the whole run "
-             "(default: $REPRO_KERNELS or 'vector')",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -903,13 +898,8 @@ def _cmd_bench(args) -> int:
             print(f"{'':<22} paper: {scenario.paper}")
         return 0
 
-    from .core import kernels
-
     with _maybe_tracing(args.trace, "bench"):
-        if args.kernels is None:
-            return _bench_run(args, bench)
-        with kernels.use_kernels(args.kernels):
-            return _bench_run(args, bench)
+        return _bench_run(args, bench)
 
 
 def _bench_run(args, bench) -> int:

@@ -470,7 +470,7 @@ class CVBSampler:
                 # Step 4(c): merge and rebuild H_i whether or not the test
                 # passed (the algorithm box outputs the *rebuilt* histogram
                 # on exit).
-                sample = _merge_sorted(sample, np.sort(increment))
+                sample = kernels.merge_sorted(sample, np.sort(increment))
                 histogram = EquiHeightHistogram.from_sorted_values(
                     sample, cfg.k
                 )
@@ -581,14 +581,3 @@ def cvb_build(
     """One-call convenience wrapper around :class:`CVBSampler`."""
     config = CVBConfig(k=k, f=f, gamma=gamma, **config_kwargs)
     return CVBSampler(config, retry=retry, budget=budget).run(heapfile, rng=rng)
-
-
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two sorted arrays into one sorted array.
-
-    Delegates to :func:`repro.core.kernels.merge_sorted`: the scalar kernel
-    is the historical stable sort of the concatenation, the vector kernel
-    scatters both runs to their final ranks in one pass (Section 7.1,
-    extension 2 — the CVB increment merge).
-    """
-    return kernels.merge_sorted(a, b)

@@ -137,13 +137,6 @@ class EquiHeightHistogram:
         self._min = float(min_value)
         self._max = float(max_value)
 
-    @staticmethod
-    def _eq_counts_sorted(
-        sorted_values: np.ndarray, separators: np.ndarray
-    ) -> np.ndarray:
-        """Count of values equal to each separator; repeats carry zero."""
-        return kernels.eq_counts_sorted(sorted_values, separators)
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -157,14 +150,12 @@ class EquiHeightHistogram:
         Section 3.1 (separators at sample quantiles, counts of the sample).
         """
         values = np.asarray(values)
-        if not kernels.vectorized():
-            return cls.from_sorted_values(np.sort(values), k)
-        # Vectorized path: ``ensure_sorted`` pays for at most one sort (and
-        # none at all when the caller's values are already ordered — the CVB
-        # accumulated sample and the ground-truth recounts always are),
-        # then the separator and counting kernels ride their sorted fast
-        # paths.  Validation order matches the scalar path (empty before k)
-        # so both raise identically on degenerate input.
+        # ``ensure_sorted`` pays for at most one sort (and none at all when
+        # the caller's values are already ordered — the CVB accumulated
+        # sample and the ground-truth recounts always are), then the
+        # separator and counting kernels ride their sorted fast paths.
+        # Validation order matches :meth:`from_sorted_values` (empty before
+        # k), so both constructors raise identically on degenerate input.
         if values.size == 0:
             raise EmptyDataError("cannot build a histogram over an empty value set")
         _check_finite(values)
@@ -186,7 +177,7 @@ class EquiHeightHistogram:
         _check_finite(values)
         separators = equi_height_separators(values, k)
         counts = cls._count_sorted(values, separators, k)
-        eq_counts = cls._eq_counts_sorted(values, separators)
+        eq_counts = kernels.eq_counts_sorted(values, separators)
         return cls(
             separators,
             counts,

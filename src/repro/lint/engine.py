@@ -10,8 +10,8 @@ Design
   rules get a parsed AST per file; Markdown rules get raw text.
 - **One parse per file.**  The engine parses each source file once into a
   :class:`LintContext` and hands the same context to every applicable
-  rule; the AST node count it accumulates is the deterministic "work done"
-  measure reported by the ``lint_full_repo`` bench scenario.
+  rule; the AST node count it accumulates is the "work done" measure
+  the ``lint_full_repo`` bench scenario reports next to its wall time.
 - **Inline suppressions.**  ``# repro: noqa[RULE]`` (comma-separated ids,
   optionally followed by a justification) suppresses findings of those
   rules on that physical line.  Suppressions are tracked: any that match

@@ -23,15 +23,9 @@ import numpy as np
 
 from .._rng import RngLike, ensure_rng
 from ..core import kernels
-from ..exceptions import ParameterError
+from ..exceptions import BuildAbortedError, ParameterError
 from ..obs import metrics as _metrics
-from ..storage.faults import (
-    BudgetTracker,
-    RetryPolicy,
-    _batched_fault_path,
-    read_page_resilient,
-    read_pages_resilient,
-)
+from ..storage.faults import BudgetTracker, RetryPolicy, read_pages_resilient
 from ..storage.heapfile import HeapFile
 
 __all__ = ["sample_block_ids", "sample_blocks", "BlockSampleStream"]
@@ -77,29 +71,12 @@ def sample_blocks(
         heapfile.num_pages, num_blocks, rng, with_replacement
     )
     if retry is None and budget is None:
-        # Fast path: no fault policy configured, nothing to route around.
+        # No fault policy configured, nothing to route around.
         return heapfile.read_pages(page_ids)  # repro: noqa[FLT001]
-    if kernels.vectorized() and _batched_fault_path(heapfile):
-        # Batched skip-and-redraw: page outcomes are fixed without
-        # transient retries, so one resilient batch call resolves every
-        # id with bit-identical accounting to the scalar loop.
-        payload, _, _ = read_pages_resilient(
-            heapfile, page_ids, retry=retry, budget=budget
-        )
-        return payload
-    chunks = [
-        payload
-        for pid in page_ids
-        if (
-            payload := read_page_resilient(
-                heapfile, int(pid), retry=retry, budget=budget
-            )
-        )
-        is not None
-    ]
-    if not chunks:
-        return heapfile.values_unaccounted()[:0]
-    return np.concatenate(chunks)
+    payload, _, _ = read_pages_resilient(
+        heapfile, page_ids, retry=retry, budget=budget
+    )
+    return payload
 
 
 class BlockSampleStream:
@@ -173,6 +150,12 @@ class BlockSampleStream:
         """Page ids consumed so far, in sampling order."""
         return self._order[: self._cursor].copy()
 
+    def _page_sizes(self, page_ids: np.ndarray) -> np.ndarray:
+        """Tuple count of each page in *page_ids* (the last may be short)."""
+        b = self._file.blocking_factor
+        lo = page_ids * b
+        return np.minimum(lo + b, self._file.num_records) - lo
+
     def _next_readable(self, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated payloads + per-page sizes of the next readable pages.
 
@@ -182,75 +165,57 @@ class BlockSampleStream:
         ``sizes[i]`` is the tuple count of the i-th delivered page, so
         callers can recover page boundaries from the flat payload.
         """
-        fast_path = self._retry is None and self._budget is None
-        if (
-            fast_path
-            and kernels.vectorized()
-            and type(self._file).read_page is HeapFile.read_page
-        ):
-            # Batched fast path: without a fault policy (and without a
-            # read_page override to honour) every consumed page is
-            # delivered, so the batch is one slice of the shuffled order
-            # and one gather.
+        if self._retry is None and self._budget is None:
+            return self._next_unguarded(num_blocks)
+        # Each window of the shuffled order resolves in one resilient batch
+        # read; skipped pages are replaced by extending the window.  On a
+        # budget abort the cursor and skip list cover exactly the pages
+        # consumed up to (and including) the aborting one.
+        chunks = []
+        sizes_parts = []
+        delivered = 0
+        while delivered < num_blocks and self._cursor < self._order.size:
+            start = self._cursor
+            end = min(start + (num_blocks - delivered), int(self._order.size))
+            window = self._order[start:end].astype(np.int64)
+            try:
+                payload, delivered_ids, skipped = read_pages_resilient(
+                    self._file, window, retry=self._retry, budget=self._budget
+                )
+            except BuildAbortedError as exc:
+                self._cursor = start + exc.pages_consumed
+                self._skipped.extend(exc.skipped_ids)
+                raise
+            self._cursor = end
+            self._skipped.extend(skipped)
+            if delivered_ids.size:
+                sizes_parts.append(self._page_sizes(delivered_ids))
+                chunks.append(payload)
+                delivered += int(delivered_ids.size)
+        if not chunks:
+            empty = np.asarray([], dtype=np.int64)
+            return self._file.values_unaccounted()[:0], empty
+        return np.concatenate(chunks), np.concatenate(sizes_parts)
+
+    def _next_unguarded(self, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_next_readable` without a fault policy: faults propagate.
+
+        A plain heap file delivers every consumed page, so the batch is one
+        slice of the shuffled order and one gather.  A ``read_page``
+        override (fault injection) is read page by page, so an injected
+        fault raises with the cursor just past the page that hit it.
+        """
+        if type(self._file).read_page is HeapFile.read_page:
             end = min(self._cursor + num_blocks, int(self._order.size))
             ids = self._order[self._cursor : end].astype(np.int64)
             self._cursor = end
             payload = self._file.read_pages(ids)  # repro: noqa[FLT001]
-            b = self._file.blocking_factor
-            lo = ids * b
-            sizes = np.minimum(lo + b, self._file.num_records) - lo
-            return payload, sizes
-        if not fast_path and kernels.vectorized() and _batched_fault_path(
-            self._file
-        ):
-            # Batched skip-and-redraw (the PR 6 scalar-only hole): page
-            # outcomes are fixed when no transient retries are in play,
-            # so each window of the shuffled order resolves in one
-            # batched resilient read; skipped pages are recorded and
-            # replaced by extending the window, exactly like the scalar
-            # loop below — same payloads, skips, accounting and budget
-            # abort points.
-            chunks = []
-            sizes_parts = []
-            delivered = 0
-            while delivered < num_blocks and self._cursor < self._order.size:
-                end = min(
-                    self._cursor + (num_blocks - delivered),
-                    int(self._order.size),
-                )
-                window = self._order[self._cursor : end].astype(np.int64)
-                self._cursor = end
-                payload, delivered_ids, skipped = read_pages_resilient(
-                    self._file, window, retry=self._retry, budget=self._budget
-                )
-                self._skipped.extend(skipped)
-                if delivered_ids.size:
-                    b = self._file.blocking_factor
-                    lo = delivered_ids * b
-                    sizes_parts.append(
-                        np.minimum(lo + b, self._file.num_records) - lo
-                    )
-                    chunks.append(payload)
-                    delivered += int(delivered_ids.size)
-            if not chunks:
-                empty = np.asarray([], dtype=np.int64)
-                return self._file.values_unaccounted()[:0], empty
-            return np.concatenate(chunks), np.concatenate(sizes_parts)
+            return payload, self._page_sizes(ids)
         chunks: list[np.ndarray] = []
         while len(chunks) < num_blocks and self._cursor < self._order.size:
             pid = int(self._order[self._cursor])
             self._cursor += 1
-            if fast_path:
-                # No fault policy configured, nothing to route around.
-                chunks.append(self._file.read_page(pid))  # repro: noqa[FLT001]
-                continue
-            payload = read_page_resilient(
-                self._file, pid, retry=self._retry, budget=self._budget
-            )
-            if payload is None:
-                self._skipped.append(pid)
-                continue
-            chunks.append(payload)
+            chunks.append(self._file.read_page(pid))  # repro: noqa[FLT001]
         sizes = np.asarray([chunk.size for chunk in chunks], dtype=np.int64)
         if not chunks:
             return self._file.values_unaccounted()[:0], sizes

@@ -16,6 +16,7 @@ re-typed without the doc (and this docstring's schema) moving in lockstep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..exceptions import ReproError
@@ -30,7 +31,8 @@ __all__ = [
 
 
 class ProtocolError(ReproError):
-    """A malformed request: unknown op, missing field, or wrong type."""
+    """A malformed request: unknown op, missing field, wrong type, or a
+    non-finite number."""
 
 
 @dataclass(frozen=True)
@@ -150,22 +152,10 @@ def validate_request(request: object) -> tuple[str, dict]:
     for field, types in spec.fields.items():
         if field not in request:
             raise ProtocolError(f"op {op!r} requires field {field!r}")
-        value = request[field]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ProtocolError(
-                f"field {field!r} of op {op!r} has the wrong type "
-                f"({type(value).__name__})"
-            )
-        fields[field] = value
+        fields[field] = _checked(op, field, request[field], types)
     for field, types in OPTIONAL_FIELDS.get(op, {}).items():
         if field in request:
-            value = request[field]
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ProtocolError(
-                    f"field {field!r} of op {op!r} has the wrong type "
-                    f"({type(value).__name__})"
-                )
-            fields[field] = value
+            fields[field] = _checked(op, field, request[field], types)
     unknown = sorted(
         set(request) - {"op"} - set(spec.fields)
         - set(OPTIONAL_FIELDS.get(op, {}))
@@ -175,3 +165,22 @@ def validate_request(request: object) -> tuple[str, dict]:
             f"op {op!r} got unexpected fields: {', '.join(unknown)}"
         )
     return op, fields
+
+
+def _checked(op: str, field: str, value: object, types) -> object:
+    """*value* if it has a declared type (never bool) and is finite.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; a non-finite bound
+    would otherwise flow into the estimators and come back as a plausible
+    row count.
+    """
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ProtocolError(
+            f"field {field!r} of op {op!r} has the wrong type "
+            f"({type(value).__name__})"
+        )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ProtocolError(
+            f"field {field!r} of op {op!r} must be finite, got {value!r}"
+        )
+    return value

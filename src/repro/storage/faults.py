@@ -609,23 +609,6 @@ def read_page_resilient(
     return None
 
 
-def _batched_fault_path(heapfile: HeapFile) -> bool:
-    """Can :func:`read_pages_resilient` batch reads on *heapfile*?
-
-    True for plain heap files (no fault injection at all) and for
-    :class:`FaultyHeapFile` without transient faults.  Transient faults
-    draw per ``(page, attempt)``, and the retry loop's observable side
-    effects (backoff charges, retry counts) are inherently sequential, so
-    that configuration stays on the scalar path.
-    """
-    if type(heapfile).read_page is HeapFile.read_page:
-        return True
-    return (
-        type(heapfile) is FaultyHeapFile
-        and heapfile.policy.transient_rate == 0.0
-    )
-
-
 def read_pages_resilient(
     heapfile: HeapFile,
     page_ids,
@@ -642,10 +625,17 @@ def read_pages_resilient(
     :class:`~repro.exceptions.BuildAbortedError` — are bit-identical to
     calling :func:`read_page_resilient` once per id.
 
-    When :func:`_batched_fault_path` holds, runs of clean pages between
-    corrupt ones are gathered with one vectorized call; otherwise (per-
-    attempt transient faults) the loop simply delegates to the scalar
-    function.
+    A plain heap file is read with one batched gather.  On a
+    :class:`FaultyHeapFile` without transient faults, page outcomes are
+    fixed by the policy's corrupt set, so runs of clean pages between
+    corrupt ones are gathered with one call each.  Transient faults (or any
+    other ``read_page`` override) go one page at a time through
+    :func:`read_page_resilient`: retry backoff is inherently sequential.
+
+    A budget abort re-raises with ``pages_consumed`` (how many of
+    *page_ids* were consumed, the aborting one included) and
+    ``skipped_ids`` (the ids skipped before it) set on the error, so a
+    caller can account for exactly the pages a per-page loop would have.
     """
     ids = np.asarray(page_ids, dtype=np.int64)
     if ids.size == 0:
@@ -657,86 +647,92 @@ def read_pages_resilient(
             "repro_resilient_reads_total", int(ids.size), outcome="delivered"
         )
         return payload, ids, []
-    if not (
-        type(heapfile) is FaultyHeapFile
-        and heapfile.policy.transient_rate == 0.0
-    ):
-        # Transient faults (or an unknown subclass): scalar semantics only.
-        chunks = []
-        delivered = []
-        skipped: list[int] = []
-        for pid in ids.tolist():
-            payload = read_page_resilient(
-                heapfile, pid, retry=retry, budget=budget
-            )
-            if payload is None:
+
+    chunks: list[np.ndarray] = []
+    delivered: list[int] = []
+    skipped: list[int] = []
+    try:
+        if (
+            type(heapfile) is FaultyHeapFile
+            and heapfile.policy.transient_rate == 0.0
+        ):
+            run: list[int] = []
+            for pid in ids.tolist():
+                if pid not in heapfile.corrupt_pages:
+                    run.append(pid)
+                    continue
+                if run:
+                    chunks.append(_read_clean_run(heapfile, run))
+                    delivered.extend(run)
+                    run = []
+                _skip_corrupt_page(heapfile, pid, budget)
                 skipped.append(pid)
-            else:
-                chunks.append(payload)
-                delivered.append(pid)
-        if chunks:
-            flat = np.concatenate(chunks)
+            if run:
+                chunks.append(_read_clean_run(heapfile, run))
+                delivered.extend(run)
         else:
-            flat = heapfile.values_unaccounted()[:0]
-        return flat, np.asarray(delivered, dtype=np.int64), skipped
-
-    # FaultyHeapFile with corruption only: page outcomes are fixed by the
-    # policy's corrupt set, so runs of clean pages batch into one gather.
-    policy = heapfile.policy
-    corrupt = heapfile._corrupt
-    values = heapfile.values_unaccounted()
-    chunks = []
-    delivered = []
-    skipped = []
-
-    def _flush(run: list[int]) -> None:
-        # One clean run: same per-page accounting as the scalar path
-        # (attempt counts, latency, read counters, delivered metric), in
-        # one batched call each.  Clean deliveries never charge the
-        # budget, so intra-run ordering is unobservable.
-        if not run:
-            return
-        arr = np.asarray(run, dtype=np.int64)
-        for pid in run:
-            heapfile._attempts[pid] = heapfile._attempts.get(pid, 0) + 1
-        if policy.read_latency_s:
-            heapfile.iostats.record_latency(policy.read_latency_s * len(run))
-        chunks.append(kernels.gather_pages(values, arr, heapfile.blocking_factor))
-        heapfile.iostats.record_reads(arr)
-        _metrics.inc(
-            "repro_resilient_reads_total", len(run), outcome="delivered"
-        )
-        delivered.extend(run)
-
-    run: list[int] = []
-    for pid in ids.tolist():
-        if pid not in corrupt:
-            run.append(pid)
-            continue
-        _flush(run)
-        run = []
-        # Mirror FaultyHeapFile.read_page on a corrupt page...
-        heapfile._attempts[pid] = heapfile._attempts.get(pid, 0) + 1
-        if policy.read_latency_s:
-            heapfile.iostats.record_latency(policy.read_latency_s)
-        heapfile.iostats.record_failed_read(pid)
-        _metrics.inc("repro_fault_events_total", kind="corrupt")
-        # ...then read_page_resilient's corruption branch, charge order
-        # included (a budget abort must raise at the same point).
-        if budget is not None:
-            budget.charge_failure()
-        heapfile.iostats.record_skip(pid)
-        if budget is not None:
-            budget.charge_skip()
-        _metrics.inc("repro_resilient_reads_total", outcome="skipped")
-        skipped.append(pid)
-    _flush(run)
-
+            for pid in ids.tolist():
+                payload = read_page_resilient(
+                    heapfile, pid, retry=retry, budget=budget
+                )
+                if payload is None:
+                    skipped.append(pid)
+                else:
+                    chunks.append(payload)
+                    delivered.append(pid)
+    except BuildAbortedError as exc:
+        # Every page before the aborting one was delivered or skipped.
+        exc.pages_consumed = len(delivered) + len(skipped) + 1
+        exc.skipped_ids = skipped
+        raise
     if chunks:
         flat = np.concatenate(chunks)
     else:
-        flat = values[:0]
+        flat = heapfile.values_unaccounted()[:0]
     return flat, np.asarray(delivered, dtype=np.int64), skipped
+
+
+def _read_clean_run(heapfile: FaultyHeapFile, run: list[int]) -> np.ndarray:
+    """Deliver a run of clean pages of a corruption-only file in one gather.
+
+    Same accounting as one :meth:`FaultyHeapFile.read_page` per page
+    (attempt counts, latency, read counters, delivered metric), in one
+    batched call each.  Clean deliveries never charge the budget, so
+    intra-run ordering is unobservable.
+    """
+    ids = np.asarray(run, dtype=np.int64)
+    for pid in run:
+        heapfile._attempts[pid] = heapfile._attempts.get(pid, 0) + 1
+    if heapfile.policy.read_latency_s:
+        heapfile.iostats.record_latency(heapfile.policy.read_latency_s * len(run))
+    payload = kernels.gather_pages(
+        heapfile.values_unaccounted(), ids, heapfile.blocking_factor
+    )
+    heapfile.iostats.record_reads(ids)
+    _metrics.inc("repro_resilient_reads_total", len(run), outcome="delivered")
+    return payload
+
+
+def _skip_corrupt_page(
+    heapfile: FaultyHeapFile, pid: int, budget: BudgetTracker | None
+) -> None:
+    """Account for one corrupt page exactly as the per-page path does.
+
+    Mirrors :meth:`FaultyHeapFile.read_page` failing the checksum, then
+    :func:`read_page_resilient`'s corruption branch, charge order included
+    (a budget abort must raise at the same point).
+    """
+    heapfile._attempts[pid] = heapfile._attempts.get(pid, 0) + 1
+    if heapfile.policy.read_latency_s:
+        heapfile.iostats.record_latency(heapfile.policy.read_latency_s)
+    heapfile.iostats.record_failed_read(pid)
+    _metrics.inc("repro_fault_events_total", kind="corrupt")
+    if budget is not None:
+        budget.charge_failure()
+    heapfile.iostats.record_skip(pid)
+    if budget is not None:
+        budget.charge_skip()
+    _metrics.inc("repro_resilient_reads_total", outcome="skipped")
 
 
 def read_record_resilient(

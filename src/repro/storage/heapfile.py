@@ -144,24 +144,20 @@ class HeapFile:
         """
         if len(page_ids) == 0:
             return self._values[:0]
-        if kernels.vectorized() and type(self).read_page is HeapFile.read_page:
-            # Batched fast path: one gather + one accounting call.  Gated on
-            # read_page not being overridden so fault-injecting subclasses
-            # keep their per-page semantics.
-            ids = np.asarray(page_ids, dtype=np.int64)
-            bad = (ids < 0) | (ids >= self.num_pages)
-            if bad.any():
-                first = int(ids[bad][0])
-                raise ParameterError(
-                    f"page_id {first} out of range [0, {self.num_pages})"
-                )
-            payload = kernels.gather_pages(
-                self._values, ids, self._blocking_factor
+        if type(self).read_page is not HeapFile.read_page:
+            # Fault-injecting subclasses override read_page; honour their
+            # per-page semantics (a fault raises at the page it hits).
+            return np.concatenate([self.read_page(int(pid)) for pid in page_ids])
+        ids = np.asarray(page_ids, dtype=np.int64)
+        bad = (ids < 0) | (ids >= self.num_pages)
+        if bad.any():
+            first = int(ids[bad][0])
+            raise ParameterError(
+                f"page_id {first} out of range [0, {self.num_pages})"
             )
-            self.iostats.record_reads(ids)
-            return payload
-        chunks = [self.read_page(int(pid)) for pid in page_ids]
-        return np.concatenate(chunks)
+        payload = kernels.gather_pages(self._values, ids, self._blocking_factor)
+        self.iostats.record_reads(ids)
+        return payload
 
     def read_record(self, record_index: int):
         """One record by global index; costs a read of its whole page.
@@ -179,11 +175,7 @@ class HeapFile:
 
     def scan(self) -> np.ndarray:
         """Full scan; costs one read per page, returns all values."""
-        if kernels.vectorized():
-            self.iostats.record_reads(range(self.num_pages))
-            return self._values
-        for page_id in range(self.num_pages):
-            self.iostats.record_read(page_id)
+        self.iostats.record_reads(range(self.num_pages))
         return self._values
 
     def iter_pages(self) -> Iterator[np.ndarray]:

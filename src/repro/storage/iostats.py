@@ -70,15 +70,15 @@ class IOStats:
 
         Batched twin of :meth:`record_read`: counter values and metric
         totals end up exactly as if ``record_read`` had been called once
-        per id (duplicates charge again), which keeps the vectorized read
-        path's accounting bit-identical to the scalar one.
+        per id (duplicates charge again), which keeps batched reads'
+        accounting bit-identical to page-by-page reads.
         """
         count = len(page_ids)
         if count == 0:
             return
         self.page_reads += count
         # tolist() materialises Python ints at C speed; int and np.int64
-        # keys hash identically, so the set contents match the scalar path.
+        # keys hash identically, so the set contents match per-page reads.
         self._touched.update(np.asarray(page_ids).tolist())
         _metrics.inc("repro_read_attempts_total", count)
         _metrics.inc("repro_page_reads_total", count)

@@ -1,22 +1,70 @@
-"""Shared machinery for the scalar-vs-vector differential harness.
+"""Shared machinery for the production-vs-oracle differential harness.
 
-The contract under test: for every kernel pair in
-:data:`repro.core.kernels.KERNELS`, the scalar and vector implementations
-are **bit-identical** — same output arrays, same dtypes where callers
-compare them, same exceptions on degenerate input, same RNG stream
-consumption, same IOStats and obs metrics.  ``run_both`` executes a fresh
-closure under each mode; the dataset strategies generate the distributions
-the paper's experiments exercise (Zipf, Unif/Dup) plus the adversarial
-shapes the scalar path historically under-tested (near-duplicate floats,
+The contract under test: every public kernel of :mod:`repro.core.kernels`,
+and every batched storage/sampling path built on them, is **bit-identical**
+to its reference oracle in :mod:`tests.kernels.oracle` — same output
+arrays, same dtypes where callers compare them, same exceptions on
+degenerate input, same RNG stream consumption, same IOStats and obs
+metrics.  ``run_both`` executes a fresh closure once against the oracles
+(``"scalar"``) and once against production (``"vector"``); the dataset
+strategies generate the distributions the paper's experiments exercise
+(Zipf, Unif/Dup) plus adversarial shapes (near-duplicate floats,
 single-value columns, fully distinct columns).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+from typing import Iterator
+from unittest import mock
+
 import numpy as np
 from hypothesis import strategies as st
 
 from repro.core import kernels
+from repro.storage import FaultPolicy, FaultyHeapFile, HeapFile
+
+from . import oracle
+
+#: ``"scalar"`` runs the oracles, ``"vector"`` runs production.
+MODES = ("scalar", "vector")
+
+
+@contextmanager
+def implementation(mode: str) -> Iterator[None]:
+    """Run a ``with`` block against the oracles or against production.
+
+    ``"scalar"`` patches every oracle over its ``repro.core.kernels``
+    namesake, which also makes :func:`heap_file` / :func:`faulty_file`
+    build the per-page oracle file classes; ``"vector"`` runs production
+    untouched.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "scalar":
+        patch = mock.patch.multiple(kernels, **oracle.ORACLES)
+    else:
+        patch = nullcontext()
+    with patch:
+        yield
+
+
+def _oracles_active() -> bool:
+    """True inside ``implementation("scalar")``: the patch is the mode."""
+    return kernels.gather_pages is oracle.gather_pages
+
+
+def heap_file(values: np.ndarray, **kwargs) -> HeapFile:
+    """``HeapFile.from_values`` in the active mode's file class."""
+    cls = oracle.OracleHeapFile if _oracles_active() else HeapFile
+    return cls.from_values(values, **kwargs)
+
+
+def faulty_file(inner: HeapFile, policy: FaultPolicy) -> FaultyHeapFile:
+    """A :class:`FaultyHeapFile` over *inner* in the active mode's class."""
+    cls = oracle.OracleFaultyHeapFile if _oracles_active() else FaultyHeapFile
+    return cls(inner, policy)
+
 
 #: Dataset families the strategies draw from; names show up in failure
 #: reprs so a shrunk counterexample says which family broke.
@@ -62,15 +110,16 @@ def sorted_pairs(draw, max_size: int = 1_500) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_both(fn):
-    """Run ``fn()`` once per kernel mode; return ``{mode: result}``.
+    """Run ``fn()`` once per mode; return ``{mode: result}``.
 
     *fn* must build all of its state from scratch on each call (fresh
-    heap files, fresh generators) so the two executions differ only in
-    the kernel implementations they dispatch to.
+    heap files via :func:`heap_file` / :func:`faulty_file`, fresh
+    generators) so the two executions differ only in the implementations
+    they run.
     """
     results = {}
-    for mode in kernels.KERNEL_MODES:
-        with kernels.use_kernels(mode):
+    for mode in MODES:
+        with implementation(mode):
             results[mode] = fn()
     return results
 

@@ -1,11 +1,11 @@
-"""The kernel docs are documented-by-construction: diff them vs the registry.
+"""The kernel docs are documented-by-construction: diff them vs the kernels.
 
-docs/ARCHITECTURE.md's "Kernels" section and the EXPERIMENTS.md knob table
-promise to catalogue the scalar/vector pairs and the ``REPRO_KERNELS``
-switch.  These tests enforce the promise literally, the same way
-``tests/obs/test_docs.py`` pins the observability docs: a kernel pair
-cannot be registered (or renamed) without the docs following, and the docs
-cannot invent kernels the registry does not define.
+docs/ARCHITECTURE.md's "Kernels" section promises to catalogue the six
+public kernels of :mod:`repro.core.kernels` and the oracles they are
+tested against.  These tests enforce the promise literally, the same way
+``tests/obs/test_docs.py`` pins the observability docs: a public kernel
+cannot be added (or renamed) without the docs following, and the docs
+cannot invent kernels the module does not define.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import re
 
 from repro.core import kernels
 
+from . import oracle
+
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
-EXPERIMENTS = ROOT / "EXPERIMENTS.md"
 
 
 def _kernels_section() -> str:
@@ -28,50 +29,25 @@ def _kernels_section() -> str:
 
 
 class TestKernelTableSync:
-    """The ARCHITECTURE.md kernel table covers exactly the registry."""
+    """The ARCHITECTURE.md kernel table covers exactly the public kernels."""
 
     def test_every_registered_kernel_is_documented(self):
-        """No kernel pair can be registered without a doc table row."""
+        """No public kernel can exist without a doc table row."""
         section = _kernels_section()
-        missing = [
-            name for name in kernels.kernel_names()
-            if f"`{name}`" not in section
-        ]
+        missing = [name for name in oracle.ORACLES if f"`{name}`" not in section]
         assert not missing, f"ARCHITECTURE.md missing kernels: {missing}"
 
     def test_no_phantom_kernels_in_table(self):
-        """Kernel-shaped rows in the doc table are all registered."""
+        """Kernel-shaped rows in the doc table are all public kernels."""
         section = _kernels_section()
         rows = re.findall(r"^\| `([a-z0-9_]+)` \|", section, re.MULTILINE)
-        phantom = [name for name in rows if name not in kernels.KERNELS]
-        assert not phantom, f"doc lists unregistered kernels: {phantom}"
-        assert set(rows) == set(kernels.KERNELS)
+        phantom = [name for name in rows if name not in oracle.ORACLES]
+        assert not phantom, f"doc lists kernels that do not exist: {phantom}"
+        assert set(rows) == set(oracle.ORACLES)
+        assert set(rows) <= set(kernels.__all__)
 
     def test_both_modes_are_documented(self):
-        """The section spells out the full mode vocabulary."""
+        """The section names both the production module and the oracles."""
         section = _kernels_section()
-        for mode in kernels.KERNEL_MODES:
-            assert f"{mode}" in section
-
-
-class TestKnobDocumentation:
-    """REPRO_KERNELS and its surfaces appear in both user-facing docs."""
-
-    def test_env_var_documented_in_architecture(self):
-        assert kernels.ENV_VAR in ARCHITECTURE.read_text()
-
-    def test_env_var_documented_in_experiments(self):
-        text = EXPERIMENTS.read_text()
-        assert kernels.ENV_VAR in text
-        # The knob table must spell out the accepted values.
-        for mode in kernels.KERNEL_MODES:
-            assert mode in text
-
-    def test_cli_flag_documented_in_experiments(self):
-        """``repro bench --kernels`` is discoverable from the cookbook."""
-        assert "--kernels" in EXPERIMENTS.read_text()
-
-    def test_use_kernels_documented(self):
-        """The programmatic override has a doc trail too."""
-        assert "use_kernels" in ARCHITECTURE.read_text()
-        assert "use_kernels" in EXPERIMENTS.read_text()
+        assert "repro.core.kernels" in section
+        assert "tests/kernels/oracle.py" in section

@@ -1,10 +1,10 @@
-"""Degenerate-input regressions the scalar path historically under-tested.
+"""Degenerate-input regressions, production against the oracles.
 
-Every case runs under **both** kernel modes and demands identical behaviour:
-same results where results exist, same exception types (and messages) where
-the input is rejected.  Covered: empty samples, single distinct values,
-all-duplicate columns, more buckets than distinct values (and than rows),
-and float columns with exact ties at separator boundaries.
+Every case runs in production and against the oracles and demands
+identical behaviour: same results where results exist, same exception types
+(and messages) where the input is rejected.  Covered: empty samples, single
+distinct values, all-duplicate columns, more buckets than distinct values
+(and than rows), and float columns with exact ties at separator boundaries.
 """
 
 from __future__ import annotations
@@ -19,37 +19,41 @@ from repro.exceptions import EmptyDataError, ParameterError
 from repro.sampling.block_sampler import BlockSampleStream
 from repro.storage import HeapFile
 
+from . import oracle
 from .conftest import (
+    MODES,
     assert_arrays_identical,
     assert_histograms_identical,
+    heap_file,
+    implementation,
     run_both,
 )
 
-BOTH = pytest.mark.parametrize("mode", kernels.KERNEL_MODES)
+BOTH = pytest.mark.parametrize("mode", MODES)
 
 
 class TestEmptyInputs:
     @BOTH
     def test_from_values_rejects_empty(self, mode):
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             with pytest.raises(EmptyDataError, match="empty value set"):
                 EquiHeightHistogram.from_values(np.array([]), 4)
 
     @BOTH
     def test_separator_kernel_rejects_empty(self, mode):
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             with pytest.raises(EmptyDataError, match="empty value set"):
                 kernels.equi_height_separators_unsorted(np.array([]), 4)
 
     @BOTH
     def test_separator_counts_rejects_empty(self, mode):
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             with pytest.raises(EmptyDataError, match="empty value set"):
                 kernels.separator_counts(np.array([]), np.array([1.0]))
 
     @BOTH
     def test_bad_k_rejected_before_work(self, mode):
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             with pytest.raises(ParameterError, match="k must be positive"):
                 kernels.equi_height_separators_unsorted(np.arange(5), 0)
 
@@ -80,7 +84,7 @@ class TestEmptyInputs:
 
     @BOTH
     def test_one_per_block_rejects_empty_blocks(self, mode):
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             with pytest.raises(ParameterError, match="positive"):
                 kernels.one_per_block_draws(
                     np.random.default_rng(0), np.array([3, 0, 2])
@@ -88,7 +92,7 @@ class TestEmptyInputs:
 
     def test_exhausted_stream_take_is_empty_and_identical(self):
         def sample():
-            heapfile = HeapFile.from_values(
+            heapfile = heap_file(
                 np.arange(40), layout="sorted", blocking_factor=10
             )
             stream = BlockSampleStream(heapfile, rng=0)
@@ -104,7 +108,7 @@ class TestSingleAndDuplicateValues:
     @BOTH
     def test_single_value_column(self, mode):
         values = np.full(257, 9.5)
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             hist = EquiHeightHistogram.from_values(values, 8)
         assert (hist.separators == 9.5).all()
         assert hist.counts.sum() == values.size
@@ -140,7 +144,7 @@ class TestMoreBucketsThanValues:
     @BOTH
     def test_k_exceeds_rows(self, mode):
         values = np.array([5.0, 1.0, 3.0])
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             hist = EquiHeightHistogram.from_values(values, 10)
         assert hist.k == 10
         assert hist.counts.sum() == 3
@@ -186,7 +190,7 @@ class TestFloatTiesAtSeparators:
     @BOTH
     def test_nan_rejected_in_both_modes(self, mode):
         values = np.array([1.0, np.nan, 2.0])
-        with kernels.use_kernels(mode):
+        with implementation(mode):
             with pytest.raises(ParameterError, match="NaN"):
                 EquiHeightHistogram.from_values(values, 3)
 
@@ -198,27 +202,17 @@ class TestFloatTiesAtSeparators:
 
 class TestModeDispatch:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ParameterError, match="kernel mode"):
-            with kernels.use_kernels("simd"):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            with implementation("simd"):
                 pass
 
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "turbo")
-        with pytest.raises(ParameterError, match=kernels.ENV_VAR):
-            kernels.kernel_mode()
-
-    def test_env_selects_mode(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "scalar")
-        assert kernels.kernel_mode() == "scalar"
-        assert not kernels.vectorized()
-        monkeypatch.setenv(kernels.ENV_VAR, "vector")
-        assert kernels.vectorized()
-
-    def test_override_wins_and_restores(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "vector")
-        with kernels.use_kernels("scalar"):
-            assert kernels.kernel_mode() == "scalar"
-            with kernels.use_kernels("vector"):
-                assert kernels.kernel_mode() == "vector"
-            assert kernels.kernel_mode() == "scalar"
-        assert kernels.kernel_mode() == "vector"
+    def test_override_wins_and_restores(self):
+        production = {name: getattr(kernels, name) for name in oracle.ORACLES}
+        with implementation("scalar"):
+            for name, reference in oracle.ORACLES.items():
+                assert getattr(kernels, name) is reference, name
+            inside = heap_file(np.arange(4), blocking_factor=2)
+        for name, function in production.items():
+            assert getattr(kernels, name) is function, name
+        assert type(inside) is oracle.OracleHeapFile
+        assert type(heap_file(np.arange(4), blocking_factor=2)) is HeapFile

@@ -1,12 +1,13 @@
-"""Hypothesis differential suite: scalar and vector kernels are bit-identical.
+"""Hypothesis differential suite: production kernels match their oracles.
 
-Every kernel pair runs on generated datasets (Zipf, Unif/Dup, near-duplicate
-floats, single-value, fully distinct columns) under both ``REPRO_KERNELS``
-modes, and the results are compared bit-for-bit: separators, bucket counts,
-eq_counts, extrema, merged samples, RNG draw counts (via post-call generator
-state), IOStats snapshots, and the rendered obs metrics registry.  The
-end-to-end classes push whole CVB builds through both modes and require the
-full result objects to coincide.
+Every public kernel runs on generated datasets (Zipf, Unif/Dup,
+near-duplicate floats, single-value, fully distinct columns) once in
+production and once against its oracle (``tests/kernels/oracle.py``), and
+the results are compared bit-for-bit: separators, bucket counts, eq_counts,
+extrema, merged samples, RNG draw counts (via post-call generator state),
+IOStats snapshots, and the rendered obs metrics registry.  The end-to-end
+classes push whole CVB builds through both and require the full result
+objects to coincide.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from repro.core.error_metrics import (
 from repro.core.histogram import EquiHeightHistogram, equi_height_separators
 from repro.obs import metrics
 from repro.sampling.block_sampler import BlockSampleStream
-from repro.storage import HeapFile
 
+from . import oracle
 from .conftest import (
     assert_arrays_identical,
     assert_histograms_identical,
     datasets,
+    heap_file,
+    make_values,
     run_both,
     sorted_pairs,
 )
@@ -43,13 +46,15 @@ ks = st.integers(min_value=1, max_value=64)
 
 
 class TestKernelPairEquivalence:
-    """Each registered pair, compared directly through the dispatch layer."""
+    """Each public kernel, compared directly against its oracle."""
 
     def test_registry_covers_both_modes(self):
-        assert kernels.kernel_names()
-        for name, impls in kernels.KERNELS.items():
-            assert set(impls) == {"scalar", "vector"}, name
-            assert impls["scalar"] is not impls["vector"], name
+        """Every public kernel has an oracle distinct from production."""
+        assert len(oracle.ORACLES) == 6
+        for name, reference in oracle.ORACLES.items():
+            assert name in kernels.__all__, name
+            assert callable(getattr(kernels, name)), name
+            assert getattr(kernels, name) is not reference, name
 
     @given(values=datasets(), k=ks)
     @settings(max_examples=120, deadline=None)
@@ -63,15 +68,13 @@ class TestKernelPairEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_separators_match_sorted_reference(self, values, k):
         reference = equi_height_separators(np.sort(values), k)
-        with kernels.use_kernels("vector"):
-            vectorised = kernels.equi_height_separators_unsorted(values, k)
+        vectorised = kernels.equi_height_separators_unsorted(values, k)
         assert_arrays_identical(reference, vectorised)
 
     @given(values=datasets(), k=ks)
     @settings(max_examples=120, deadline=None)
     def test_separator_counts_identical(self, values, k):
-        with kernels.use_kernels("scalar"):
-            separators = kernels.equi_height_separators_unsorted(values, k)
+        separators = oracle.equi_height_separators_unsorted(values, k)
         got = run_both(lambda: kernels.separator_counts(values.copy(), separators))
         s_counts, s_eq, s_min, s_max = got["scalar"]
         v_counts, v_eq, v_min, v_max = got["vector"]
@@ -108,8 +111,7 @@ class TestKernelPairEquivalence:
     def test_merge_sorted_matches_full_sort(self, pair):
         a, b = pair
         reference = np.sort(np.concatenate([a, b]))
-        with kernels.use_kernels("vector"):
-            merged = kernels.merge_sorted(a, b)
+        merged = kernels.merge_sorted(a, b)
         assert_arrays_identical(reference, merged)
 
     @given(values=datasets(min_size=0), pre_sort=st.booleans())
@@ -140,7 +142,7 @@ class TestKernelPairEquivalence:
 
 
 class TestHistogramEquivalence:
-    """The histogram construction surface, across both modes."""
+    """The histogram construction surface, production against oracles."""
 
     @given(values=datasets(), k=ks)
     @settings(max_examples=120, deadline=None)
@@ -152,12 +154,8 @@ class TestHistogramEquivalence:
     @given(values=datasets(), k=ks)
     @settings(max_examples=120, deadline=None)
     def test_vector_from_values_matches_sorted_scalar_reference(self, values, k):
-        with kernels.use_kernels("scalar"):
-            reference = EquiHeightHistogram.from_sorted_values(
-                np.sort(values), k
-            )
-        with kernels.use_kernels("vector"):
-            vectorised = EquiHeightHistogram.from_values(values, k)
+        reference = EquiHeightHistogram.from_sorted_values(np.sort(values), k)
+        vectorised = EquiHeightHistogram.from_values(values, k)
         assert_histograms_identical(reference, vectorised)
 
     @given(values=datasets(), probe=datasets(), k=ks)
@@ -180,7 +178,7 @@ class TestHistogramEquivalence:
 
 
 class TestErrorMetricEquivalence:
-    """Δmax / f′ and friends are mode-inert."""
+    """Δmax / f′ and friends are identical over production and oracles."""
 
     @given(values=datasets(), probe=datasets(), k=ks)
     @settings(max_examples=100, deadline=None)
@@ -223,7 +221,7 @@ class TestStreamEquivalence:
 
     @staticmethod
     def _heapfile(values, blocking_factor, layout_seed):
-        return HeapFile.from_values(
+        return heap_file(
             values,
             layout="random",
             rng=np.random.default_rng(layout_seed),
@@ -333,12 +331,10 @@ class TestCVBEquivalence:
     @pytest.mark.parametrize("metric", ["fractional", "count"])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_cvb_build_identical(self, validation, metric, seed):
-        from .conftest import make_values
-
         values = make_values("zipf", 60_000, seed)
 
         def build():
-            heapfile = HeapFile.from_values(
+            heapfile = heap_file(
                 values,
                 layout="random",
                 rng=np.random.default_rng(seed + 1),

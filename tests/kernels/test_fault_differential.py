@@ -1,11 +1,11 @@
-"""Fault-path differential: skip-and-redraw is mode-inert under injection.
+"""Fault-path differential: batched skip-and-redraw matches per-page reads.
 
-The vectorized block-sampling fast path is deliberately disabled when a
-fault policy (or a ``read_page`` override, e.g. :class:`FaultyHeapFile`) is
-in play — per-page retry/skip semantics must be preserved.  These tests
-prove the *observable* contract: with identical fault injection, scalar and
-vector modes deliver the same payloads, skip the same pages, charge the
-same retries/failed reads/latency, and build the same final histogram.
+Production resolves faulty reads in batches (runs of clean pages between
+corrupt ones gather in one call) while the oracle files force one
+``read_page_resilient`` per page.  These tests prove the *observable*
+contract: with identical fault injection, both deliver the same payloads,
+skip the same pages, charge the same retries/failed reads/latency, abort a
+budget at the same page, and build the same final histogram.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from repro.storage.faults import ReadBudget
 from .conftest import (
     assert_arrays_identical,
     assert_histograms_identical,
+    faulty_file,
+    heap_file,
     make_values,
     run_both,
 )
@@ -35,7 +37,7 @@ FAULTS = [
     FaultPolicy(corrupt_fraction=0.2, seed=5),
     FaultPolicy(transient_rate=0.25, corrupt_fraction=0.15, seed=9),
     # Majority-corrupt: most draws hit the skip-and-redraw path, so the
-    # vectorized redraw loop is exercised far past its common case.
+    # batched redraw loop is exercised far past its common case.
     FaultPolicy(corrupt_fraction=0.6, seed=3),
 ]
 
@@ -48,7 +50,7 @@ def _faulty(policy: FaultPolicy, seed: int = 0) -> FaultyHeapFile:
         rng=np.random.default_rng(seed + 1),
         blocking_factor=40,
     )
-    return FaultyHeapFile(inner, policy)
+    return faulty_file(inner, policy)
 
 
 class TestStreamFaultDifferential:
@@ -108,9 +110,9 @@ class TestStreamFaultDifferential:
         assert got["scalar"][1:] == got["vector"][1:]
 
     def test_faulty_file_without_retry_raises_identically(self):
-        # Without a retry policy the fast-path *type guard* (not the fault
-        # knobs) is what keeps the vector mode honest: FaultyHeapFile
-        # overrides read_page, so batched reads must not bypass injection.
+        # Without a retry policy the *type guard* (not the fault knobs) is
+        # what keeps production honest: FaultyHeapFile overrides read_page,
+        # so batched reads must not bypass injection.
         policy = FaultPolicy(corrupt_fraction=0.5, seed=2)
 
         def sample():
@@ -118,7 +120,7 @@ class TestStreamFaultDifferential:
             stream = BlockSampleStream(faulty, rng=np.random.default_rng(1))
             try:
                 stream.take(100)
-            except Exception as exc:  # noqa: BLE001 - compared across modes
+            except Exception as exc:  # noqa: BLE001 - compared with the oracle
                 return type(exc).__name__, faulty.iostats.snapshot()
             return None, faulty.iostats.snapshot()
 
@@ -130,11 +132,11 @@ class TestStreamFaultDifferential:
 class TestResilientBoundaryDifferential:
     def test_healthy_file_with_retry_and_budget_identical(self):
         # retry/budget on a plain (fault-free) HeapFile: the resilient
-        # slow path must produce exactly the fast path's sample and spend
-        # nothing, in both kernel modes.
+        # path must produce exactly the unguarded path's sample and spend
+        # nothing, in production and against the oracle.
         def sample():
             values = make_values("zipf", 12_000, 3)
-            plain = HeapFile.from_values(
+            plain = heap_file(
                 values,
                 layout="random",
                 rng=np.random.default_rng(4),
@@ -160,42 +162,57 @@ class TestResilientBoundaryDifferential:
             }
         assert_arrays_identical(got["scalar"][0], got["vector"][0])
 
+    @staticmethod
+    def _take_under_budget(policy: FaultPolicy):
+        """take(120) under a five-failure budget; the state it ends in."""
+        faulty = _faulty(policy, seed=2)
+        tracker = ReadBudget(max_failed_reads=5).tracker()
+        stream = BlockSampleStream(
+            faulty,
+            rng=np.random.default_rng(3),
+            retry=RETRY,
+            budget=tracker,
+        )
+        try:
+            stream.take(120)
+        except BuildAbortedError as exc:
+            outcome, snapshot = "aborted", exc.snapshot
+        else:
+            outcome, snapshot = "completed", None
+        return (
+            outcome,
+            snapshot,
+            tracker.snapshot(),
+            faulty.iostats.snapshot(),
+            stream.pages_skipped,
+            stream.pages_taken,
+            stream.skipped_ids.tolist(),
+            stream.taken_ids.tolist(),
+        )
+
     def test_budget_abort_mid_batch_identical(self):
-        # A tight budget that dies partway through a batched take: both
-        # modes must abort at the same spend with the same accounting.
+        # A tight budget that dies partway through a take under transient
+        # and corrupt faults: both must abort at the same spend with the
+        # same accounting and the same stream state.
         policy = FaultPolicy(transient_rate=0.4, corrupt_fraction=0.3, seed=13)
-
-        def sample():
-            faulty = _faulty(policy, seed=2)
-            tracker = ReadBudget(max_failed_reads=5).tracker()
-            stream = BlockSampleStream(
-                faulty,
-                rng=np.random.default_rng(3),
-                retry=RETRY,
-                budget=tracker,
-            )
-            try:
-                stream.take(120)
-            except BuildAbortedError as exc:
-                return (
-                    "aborted",
-                    exc.snapshot,
-                    tracker.snapshot(),
-                    faulty.iostats.snapshot(),
-                    stream.pages_skipped,
-                )
-            return (
-                "completed",
-                None,
-                tracker.snapshot(),
-                faulty.iostats.snapshot(),
-                stream.pages_skipped,
-            )
-
-        got = run_both(sample)
+        got = run_both(lambda: self._take_under_budget(policy))
         assert got["scalar"] == got["vector"]
         assert got["vector"][0] == "aborted"
         assert got["vector"][1]["failed_reads"] > 5
+
+    def test_corruption_only_budget_abort_mid_batch_identical(self):
+        # Corruption only: production resolves the window in one batched
+        # read, which aborts mid-window.  The stream must still consume
+        # exactly the pages a per-page loop would have: the five skipped
+        # pages and the aborting one, with no pages beyond it.
+        policy = FaultPolicy(corrupt_fraction=0.3, seed=13)
+        got = run_both(lambda: self._take_under_budget(policy))
+        assert got["scalar"] == got["vector"]
+        outcome, snapshot, _, iostats, skipped, taken = got["vector"][:6]
+        assert outcome == "aborted"
+        assert snapshot["failed_reads"] == 6
+        assert (skipped, taken) == (5, 15)
+        assert iostats["page_reads"] == 9
 
 
 class TestCVBFaultDifferential:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.serve import ENDPOINTS, ProtocolError, validate_request
@@ -104,6 +107,31 @@ class TestRejection:
     def test_watch_cursor_bool_rejected(self):
         with pytest.raises(ProtocolError, match="wrong type"):
             validate_request({"op": "watch", "cursor": True})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "op, field",
+        [
+            ("estimate_range", "lo"),
+            ("estimate_range", "hi"),
+            ("estimate_equality", "value"),
+            ("estimate_quantile", "q"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, op, field, bad):
+        request = {"op": op, "table": "t", "column": "x"}
+        request.update({name: 1.0 for name in ENDPOINTS[op].fields
+                        if name not in request})
+        request[field] = bad
+        with pytest.raises(ProtocolError, match="must be finite"):
+            validate_request(request)
+
+    def test_non_finite_json_constants_rejected_after_decode(self):
+        """``json.loads`` turns ``NaN``/``Infinity`` into floats; they stop here."""
+        line = ('{"op": "estimate_range", "table": "t", "column": "x", '
+                '"lo": NaN, "hi": Infinity}')
+        with pytest.raises(ProtocolError, match="must be finite"):
+            validate_request(json.loads(line))
 
 
 class TestDeclarations:
