@@ -74,16 +74,3 @@ def report():
         print(f"\n=== {name} ===\n{text}")
 
     return _report
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run *func* exactly once under pytest-benchmark timing.
-
-    The figure experiments are macro-benchmarks: a single run is the
-    measurement (its internal trials already average the randomness), and
-    re-running them for timing statistics would multiply the suite's
-    runtime for no extra information.
-    """
-    return benchmark.pedantic(
-        func, args=args, kwargs=kwargs, rounds=1, iterations=1
-    )

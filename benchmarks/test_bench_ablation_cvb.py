@@ -12,7 +12,6 @@
 import math
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import reporting
 from repro.experiments.runner import (
@@ -113,8 +112,8 @@ def validation_mode_ablation(dataset):
     return rows
 
 
-def test_ablation_schedules(benchmark, report):
-    dataset, schedule_rows = run_once(benchmark, schedule_ablation)
+def test_ablation_schedules(report):
+    dataset, schedule_rows = schedule_ablation()
     layout_rows = layout_ablation(dataset)
     validation_rows = validation_mode_ablation(dataset)
     report(

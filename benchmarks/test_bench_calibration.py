@@ -17,7 +17,6 @@ violation rate in `test_bench_theorem4` is zero rather than gamma).
 import math
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import reporting
 from repro.experiments.runner import build_heapfile, required_blocks_for_error
@@ -52,8 +51,8 @@ def evaluate():
     return rows
 
 
-def test_corollary1_constant_calibration(benchmark, report):
-    rows = run_once(benchmark, evaluate)
+def test_corollary1_constant_calibration(report):
+    rows = evaluate()
     report(
         "calibration_corollary1",
         "\n\n".join(

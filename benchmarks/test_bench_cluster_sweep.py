@@ -9,7 +9,6 @@ Section 4.1's scenario analysis: smooth, monotone degradation from the
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import reporting
 from repro.experiments.runner import (
@@ -42,8 +41,8 @@ def evaluate():
     return rows
 
 
-def test_cluster_fraction_sweep(benchmark, report):
-    rows = run_once(benchmark, evaluate)
+def test_cluster_fraction_sweep(report):
+    rows = evaluate()
     report(
         "ablation_cluster_sweep",
         "\n\n".join(

@@ -16,7 +16,6 @@ Two density notions are evaluated from the same CVB samples:
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.engine import StatisticsManager, Table
 from repro.engine.density import column_density, selfjoin_density
@@ -53,8 +52,8 @@ def evaluate():
     return rows
 
 
-def test_density_accuracy(benchmark, report):
-    rows = run_once(benchmark, evaluate)
+def test_density_accuracy(report):
+    rows = evaluate()
     report(
         "density_accuracy",
         "\n\n".join(

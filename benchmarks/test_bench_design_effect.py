@@ -11,7 +11,6 @@ measured costs do, for a tiny fraction of the sampling cost — the model
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import reporting
 from repro.experiments.runner import (
@@ -52,8 +51,8 @@ def evaluate():
     return rows
 
 
-def test_design_effect_predicts_layout_cost(benchmark, report):
-    rows = run_once(benchmark, evaluate)
+def test_design_effect_predicts_layout_cost(report):
+    rows = evaluate()
     report(
         "design_effect",
         "\n\n".join(

@@ -9,7 +9,6 @@ and small rel-error everywhere.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.distinct.estimators import ALL_ESTIMATORS, estimate_all
 from repro.distinct.metrics import ratio_error, rel_error
@@ -38,8 +37,8 @@ def evaluate():
     return truths, results
 
 
-def test_distinct_estimator_shootout(benchmark, report):
-    truths, results = run_once(benchmark, evaluate)
+def test_distinct_estimator_shootout(report):
+    truths, results = evaluate()
 
     ratio_rows, rel_rows = [], []
     worst_ratio = {}

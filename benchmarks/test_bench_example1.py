@@ -19,7 +19,6 @@ Theorem 3's (1+f)*2n/k.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import bounds
 from repro.core.error_metrics import avg_error, max_error
@@ -87,8 +86,8 @@ def adversarial_demo():
     }
 
 
-def test_example1_metric_comparison(benchmark, report):
-    demo = run_once(benchmark, adversarial_demo)
+def test_example1_metric_comparison(report):
+    demo = adversarial_demo()
     rows = analytic_table()
     text = "\n\n".join(
         [

@@ -6,7 +6,6 @@ between the metrics grows unboundedly with k (Theorem 2 gives the ordering).
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core.error_metrics import avg_error, max_error, var_error
 from repro.experiments import reporting
@@ -22,8 +21,8 @@ def compute():
     }
 
 
-def test_example2_metric_values(benchmark, report):
-    metrics = run_once(benchmark, compute)
+def test_example2_metric_values(report):
+    metrics = compute()
     text = "\n\n".join(
         [
             reporting.paper_note(
@@ -48,7 +47,7 @@ def test_example2_metric_values(benchmark, report):
     assert metrics["avg"] <= metrics["var"] <= metrics["max"]
 
 
-def test_example2_gap_grows_with_k(benchmark, report):
+def test_example2_gap_grows_with_k(report):
     """The paper's closing remark: as k grows, the gap between the metrics
     can grow unboundedly.  One oversized bucket among k demonstrates it."""
     def sweep():
@@ -61,7 +60,7 @@ def test_example2_gap_grows_with_k(benchmark, report):
             )
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     report(
         "example2_gap_vs_k",
         reporting.format_table(["k", "avg", "var", "max"], rows),

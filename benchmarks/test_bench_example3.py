@@ -7,8 +7,6 @@ k=200).  The paper rounds ln(2n/gamma) to ~20 (exact ~26), so exact values
 run 20-30% above its quotes; both columns are printed.
 """
 
-from conftest import run_once
-
 from repro.core import bounds
 from repro.experiments import reporting
 
@@ -26,8 +24,8 @@ def compute():
     }
 
 
-def test_example3_tradeoff_numbers(benchmark, report):
-    values = run_once(benchmark, compute)
+def test_example3_tradeoff_numbers(report):
+    values = compute()
     rows = [
         ("sample size (k=500, f=0.2)", "~1 Meg", f"{values['r_k500_f02']:,}"),
         ("sample size (k=100, f=0.1)", "~800 K", f"{values['r_k100_f01']:,}"),
@@ -54,7 +52,7 @@ def test_example3_tradeoff_numbers(benchmark, report):
     assert 0.12 <= values["f_bound"] <= 0.15
 
 
-def test_example3_independence_from_n(benchmark, report):
+def test_example3_independence_from_n(report):
     """The headline property: r is flat in n (log factor only)."""
     def sweep():
         return [
@@ -62,7 +60,7 @@ def test_example3_independence_from_n(benchmark, report):
             for n in (10**6, 10**7, 10**8, 10**9, 10**12)
         ]
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     report(
         "example3_n_independence",
         reporting.format_table(["n", "required r (k=500, f=0.2)"], rows),

@@ -7,8 +7,6 @@ rate, for Unif/Dup (Figure 12).  This is the metric an optimizer can
 actually rely on.
 """
 
-from conftest import run_once
-
 from repro.experiments import figures, reporting
 
 
@@ -28,15 +26,15 @@ def _render(result, name):
     )
 
 
-def test_fig11_zipf_rel_error(benchmark, report):
-    result = run_once(benchmark, figures.figure11_12, "zipf2", seed=0)
+def test_fig11_zipf_rel_error(report):
+    result = figures.figure11_12("zipf2", seed=0)
     report("fig11", _render(result, "Figure 11 (Z=2)"))
     # Zipf: rel-error of the estimate stays minuscule everywhere.
     assert max(result["err_estimate"].y) < 0.01
 
 
-def test_fig12_unif_dup_rel_error(benchmark, report):
-    result = run_once(benchmark, figures.figure11_12, "unif_dup", seed=0)
+def test_fig12_unif_dup_rel_error(report):
+    result = figures.figure11_12("unif_dup", seed=0)
     report("fig12", _render(result, "Figure 12 (Unif/Dup)"))
     errs = result["err_estimate"].y
     # Small throughout and shrinking as the rate grows.
@@ -44,10 +42,10 @@ def test_fig12_unif_dup_rel_error(benchmark, report):
     assert errs[-1] < errs[0]
 
 
-def test_fig11_vs_12_zipf_is_easier(benchmark, report):
+def test_fig11_vs_12_zipf_is_easier(report):
     """The paper's cross-figure observation: prediction is far more accurate
     for the Zipf distribution than for Unif/Dup at low sampling rates."""
-    zipf = run_once(benchmark, figures.figure11_12, "zipf2", seed=1)
+    zipf = figures.figure11_12("zipf2", seed=1)
     unif = figures.figure11_12("unif_dup", seed=1)
     report(
         "fig11_12_comparison",

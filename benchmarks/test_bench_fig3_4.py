@@ -6,13 +6,11 @@ rows that must be sampled falls roughly like log(n)/n as the table grows
 (Figure 4) — the practical payoff of Corollary 1's near-independence from n.
 """
 
-from conftest import run_once
-
 from repro.experiments import figures, reporting
 
 
-def test_fig3_sampling_rate_falls_with_n(benchmark, report):
-    result = run_once(benchmark, figures.figures_3_and_4, seed=1)
+def test_fig3_sampling_rate_falls_with_n(report):
+    result = figures.figures_3_and_4(seed=1)
     text = "\n\n".join(
         [
             reporting.paper_note(

@@ -6,20 +6,15 @@ the Corollary 1 bound is distribution-independent.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import figures, reporting
 
 
 def test_fig5_error_convergence_is_distribution_independent(
-    benchmark, report, trial_workers, trial_chunk_size
+    report, trial_workers, trial_chunk_size
 ):
-    result = run_once(
-        benchmark,
-        figures.figure5,
-        seed=0,
-        workers=trial_workers,
-        chunk_size=trial_chunk_size,
+    result = figures.figure5(
+        seed=0, workers=trial_workers, chunk_size=trial_chunk_size
     )
     text = "\n\n".join(
         [

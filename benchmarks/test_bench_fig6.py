@@ -5,13 +5,11 @@ linearly with the bucket count — Corollary 1's r ~ 4k*ln(2n/gamma)/f^2 is
 linear in k.
 """
 
-from conftest import run_once
-
 from repro.experiments import figures, reporting
 
 
-def test_fig6_required_rate_linear_in_bins(benchmark, report):
-    result = run_once(benchmark, figures.figure6, seed=0)
+def test_fig6_required_rate_linear_in_bins(report):
+    result = figures.figure6(seed=0)
     series = result["series"]
     text = "\n\n".join(
         [

@@ -7,13 +7,12 @@ error.  (The CVB algorithm's adaptivity is what detects this at run time.)
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.experiments import figures, reporting
 
 
-def test_fig7_clustering_requires_more_sampling(benchmark, report):
-    result = run_once(benchmark, figures.figure7, seed=0)
+def test_fig7_clustering_requires_more_sampling(report):
+    result = figures.figure7(seed=0)
     text = "\n\n".join(
         [
             reporting.paper_note(

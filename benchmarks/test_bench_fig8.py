@@ -7,13 +7,11 @@ by Corollary 1 then costs proportionally more disk blocks: g = r/b.
 The row-level sampling fraction stays roughly flat.
 """
 
-from conftest import run_once
-
 from repro.experiments import figures, reporting
 
 
-def test_fig8_blocks_grow_with_record_size(benchmark, report):
-    result = run_once(benchmark, figures.figure8, seed=0)
+def test_fig8_blocks_grow_with_record_size(report):
+    result = figures.figure8(seed=0)
     text = "\n\n".join(
         [
             reporting.paper_note(

@@ -6,8 +6,6 @@ count approaches the truth from below while the estimate converges from the
 high side.  In both, the estimate beats reporting the raw sample count.
 """
 
-from conftest import run_once
-
 from repro.experiments import figures, reporting
 
 
@@ -28,8 +26,8 @@ def _render(result, name):
     )
 
 
-def test_fig9_zipf_distinct_values(benchmark, report):
-    result = run_once(benchmark, figures.figure9_10, "zipf2", seed=0)
+def test_fig9_zipf_distinct_values(report):
+    result = figures.figure9_10("zipf2", seed=0)
     report("fig9", _render(result, "Figure 9 (Z=2)"))
 
     real = result["num_distinct"]
@@ -39,8 +37,8 @@ def test_fig9_zipf_distinct_values(benchmark, report):
         assert abs(est - real) <= abs(samp - real) + 1e-9
 
 
-def test_fig10_unif_dup_distinct_values(benchmark, report):
-    result = run_once(benchmark, figures.figure9_10, "unif_dup", seed=0)
+def test_fig10_unif_dup_distinct_values(report):
+    result = figures.figure9_10("unif_dup", seed=0)
     report("fig10", _render(result, "Figure 10 (Unif/Dup)"))
 
     real = result["num_distinct"]

@@ -10,7 +10,6 @@ reports both cost dimensions.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.baselines.gmp import GMPHistogram
 from repro.core.error_metrics import fractional_max_error
@@ -42,8 +41,8 @@ def run_comparison():
     }
 
 
-def test_gmp_vs_cvb(benchmark, report):
-    result = run_once(benchmark, run_comparison)
+def test_gmp_vs_cvb(report):
+    result = run_comparison()
     report(
         "gmp_baseline",
         "\n\n".join(

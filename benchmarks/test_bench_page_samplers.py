@@ -8,7 +8,6 @@ the reason the paper's algorithm (and SQL Server) sample pages uniformly.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core.error_metrics import fractional_max_error
 from repro.core.histogram import EquiHeightHistogram
@@ -82,8 +81,8 @@ def evaluate():
     return rows
 
 
-def test_page_sampler_ablation(benchmark, report):
-    rows = run_once(benchmark, evaluate)
+def test_page_sampler_ablation(report):
+    rows = evaluate()
     report(
         "ablation_page_samplers",
         "\n\n".join(

@@ -10,9 +10,9 @@ grid) twice — once serially, once over a process pool — and
   ``benchmarks/results/parallel_speedup.txt``.
 
 The >= 2x speedup assertion only engages on machines with at least 4 CPU
-cores (set ``REPRO_ASSERT_SPEEDUP=0`` to disable it even there): on a
-smaller runner the fan-out cannot physically pay for its process overhead,
-and the bit-identity assertion is the part that must never flake.
+cores: on a smaller runner the fan-out cannot physically pay for its
+process overhead, and the bit-identity assertion is the part that must
+never flake.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import os
 import time
 
 import numpy as np
-from _emit import emit_json
-from conftest import run_once
 
 from repro.experiments import reporting
 from repro.experiments.config import get_scale
@@ -55,7 +53,7 @@ def _sweep(heapfile, values, k, rates, pool):
     return errors, wall, reads
 
 
-def test_parallel_sweep_is_bit_identical_and_fast(benchmark, report):
+def test_parallel_sweep_is_bit_identical_and_fast(report):
     scale = get_scale()
     dataset_values = np.random.default_rng(0).permutation(
         np.arange(1, scale.n + 1)
@@ -65,19 +63,15 @@ def test_parallel_sweep_is_bit_identical_and_fast(benchmark, report):
     )
     values = dataset_values
 
-    def run_both():
-        with TrialPool(max_workers=1) as serial_pool:
-            serial = _sweep(heapfile, values, scale.k, scale.rates, serial_pool)
-        with TrialPool(max_workers=PARALLEL_WORKERS) as par_pool:
-            par = _sweep(heapfile, values, scale.k, scale.rates, par_pool)
-            mode = par_pool.last_stats.mode
-        return serial, par, mode
-
-    (serial_errors, serial_wall, serial_reads), (
-        par_errors,
-        par_wall,
-        par_reads,
-    ), mode = run_once(benchmark, run_both)
+    with TrialPool(max_workers=1) as serial_pool:
+        serial_errors, serial_wall, serial_reads = _sweep(
+            heapfile, values, scale.k, scale.rates, serial_pool
+        )
+    with TrialPool(max_workers=PARALLEL_WORKERS) as par_pool:
+        par_errors, par_wall, par_reads = _sweep(
+            heapfile, values, scale.k, scale.rates, par_pool
+        )
+        mode = par_pool.last_stats.mode
 
     # The determinism guarantee: element-wise identical floats.
     assert par_errors == serial_errors
@@ -112,31 +106,8 @@ def test_parallel_sweep_is_bit_identical_and_fast(benchmark, report):
         ]
     )
     report("parallel_speedup", text)
-    emit_json(
-        "parallel_speedup",
-        {
-            "params": {
-                "scale": scale.name,
-                "trials_per_point": TRIALS,
-                "parallel_workers": PARALLEL_WORKERS,
-                "cores": os.cpu_count(),
-            },
-            "serial": {"wall_s": serial_wall, "page_reads": serial_reads},
-            "parallel": {
-                "wall_s": par_wall,
-                "page_reads": par_reads,
-                "mode": mode,
-            },
-            "errors_identical": par_errors == serial_errors,
-            "speedup": speedup,
-        },
-    )
 
-    assert_speedup = (
-        (os.cpu_count() or 1) >= 4
-        and os.environ.get("REPRO_ASSERT_SPEEDUP", "1") != "0"
-    )
-    if assert_speedup:
+    if (os.cpu_count() or 1) >= 4:
         assert speedup >= 2.0, (
             f"expected >= 2x speedup with {PARALLEL_WORKERS} workers on a "
             f"{os.cpu_count()}-core machine, measured {speedup:.2f}x"

@@ -14,7 +14,6 @@ between, excelling where frequency jumps dominate.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core.compressed import CompressedHistogram
 from repro.core.equiwidth import EquiWidthHistogram
@@ -54,8 +53,8 @@ def evaluate():
     return rows
 
 
-def test_structure_shootout(benchmark, report):
-    rows = run_once(benchmark, evaluate)
+def test_structure_shootout(report):
+    rows = evaluate()
     report(
         "structure_shootout",
         "\n\n".join(

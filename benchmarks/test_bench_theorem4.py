@@ -8,8 +8,6 @@ error follows the 1/sqrt(r) law the formula predicts.
 """
 
 import numpy as np
-from _emit import emit_json
-from conftest import run_once
 
 from repro.core import bounds
 from repro.core.error_metrics import max_error_fraction
@@ -52,8 +50,8 @@ def error_scaling_series():
     return series
 
 
-def test_theorem4_guarantee_holds(benchmark, report):
-    rows = run_once(benchmark, deviance_trial_rates)
+def test_theorem4_guarantee_holds(report):
+    rows = deviance_trial_rates()
     scaling = error_scaling_series()
     report(
         "theorem4_validation",
@@ -71,24 +69,6 @@ def test_theorem4_guarantee_holds(benchmark, report):
                 reporting.format_table(["r", "mean measured f"], scaling),
             ]
         ),
-    )
-    emit_json(
-        "theorem4_validation",
-        {
-            "params": {"n": N, "k": K, "gamma": GAMMA, "trials": TRIALS},
-            "deviance": [
-                {
-                    "f": f,
-                    "prescribed_r": r,
-                    "mean_measured_f": mean_f,
-                    "violations": violations,
-                }
-                for f, r, mean_f, violations in rows
-            ],
-            "error_scaling": [
-                {"r": r, "mean_measured_f": err} for r, err in scaling
-            ],
-        },
     )
 
     for f, _r, mean_f, violations in rows:

@@ -8,7 +8,6 @@ a constant factor more than Theorem 4, as the bench's side-by-side shows.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import bounds
 from repro.core.error_metrics import separation_error
@@ -50,8 +49,8 @@ def evaluate():
     return rows
 
 
-def test_theorem5_separation_guarantee(benchmark, report):
-    rows = run_once(benchmark, evaluate)
+def test_theorem5_separation_guarantee(report):
+    rows = evaluate()
     thm4 = bounds.theorem4_sample_size(N, K, 0.5 * N / K, GAMMA)
     thm5 = bounds.theorem5_sample_size(N, K, 0.5 * N / K, GAMMA)
     report(

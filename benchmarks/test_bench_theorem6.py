@@ -13,8 +13,6 @@ wins by orders of magnitude while also guaranteeing the stronger max
 metric.
 """
 
-from conftest import run_once
-
 from repro.core import bounds
 from repro.experiments import reporting
 
@@ -56,8 +54,8 @@ def useful_f_rows():
     return rows
 
 
-def test_theorem6_comparison(benchmark, report):
-    best = run_once(benchmark, best_case_rows)
+def test_theorem6_comparison(report):
+    best = best_case_rows()
     useful = useful_f_rows()
     log_k_tbl = [
         (f, bounds.gmp_required_log_k(f, c=4.0)) for f in (0.43, 0.35, 0.2, 0.1)

@@ -8,7 +8,6 @@ so CVB neither stops too early nor keeps sampling too long.
 """
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import bounds
 from repro.core.error_metrics import relative_deviation
@@ -47,8 +46,8 @@ def flag_rates():
     return s, rows
 
 
-def test_theorem7_separation(benchmark, report):
-    s, rows = run_once(benchmark, flag_rates)
+def test_theorem7_separation(report):
+    s, rows = flag_rates()
     report(
         "theorem7_cross_validation",
         "\n\n".join(

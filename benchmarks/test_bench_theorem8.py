@@ -11,7 +11,6 @@ worst case tracking the sqrt(n/r) optimum.
 import math
 
 import numpy as np
-from conftest import run_once
 
 from repro.core import bounds
 from repro.distinct.bounds import (
@@ -36,8 +35,8 @@ def estimator_table():
     return pair, rows
 
 
-def test_theorem8_no_estimator_escapes(benchmark, report):
-    pair, rows = run_once(benchmark, estimator_table)
+def test_theorem8_no_estimator_escapes(report):
+    pair, rows = estimator_table()
     theory = bounds.theorem8_error_lower_bound(N, R, GAMMA)
     cf_rate = empirical_collision_free_rate(pair, trials=300, rng=0)
     report(
@@ -72,14 +71,12 @@ def test_theorem8_no_estimator_escapes(benchmark, report):
     assert by_name["naive"] > by_name["gee"]
 
 
-def test_theorem8_haas_setting(benchmark, report):
+def test_theorem8_haas_setting(report):
     """Paper Section 6.1: at r = 0.2n and gamma = 0.5 the bound is ~1.86,
     in close accordance with Haas et al's measured errors (avg 1.33,
     max 2.86 over 24 high-skew datasets)."""
     n = 10**6
-    value = run_once(
-        benchmark, bounds.theorem8_error_lower_bound, n, int(0.2 * n), 0.5
-    )
+    value = bounds.theorem8_error_lower_bound(n, int(0.2 * n), 0.5)
     report(
         "theorem8_haas",
         reporting.format_table(

@@ -3,9 +3,8 @@
 
 Regenerates the data series behind Figures 3-12 at a chosen scale and
 prints them as tables next to the paper's expectation.  This is the
-human-driven twin of the benchmark suite (`pytest benchmarks/
---benchmark-only` adds timing and shape assertions on top of the same
-series builders).
+human-driven twin of the benchmark suite (`pytest benchmarks/` adds the
+paper's shape assertions on top of the same series builders).
 
 Run:  python examples/reproduce_paper.py [small|medium|paper] [seed]
 

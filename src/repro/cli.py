@@ -44,7 +44,8 @@ Four subcommands expose the library to shell users:
     scenario registry, write a schema-versioned ``BENCH_*.json`` report,
     optionally ``--compare`` against a baseline (logical costs exact,
     wall-clock threshold-gated), ``--update-baseline``, or ``--profile``
-    each scenario through :mod:`cProfile`.
+    each scenario through :mod:`cProfile`.  Exits 3 when a logical cost
+    drifts or a scenario's declared wall gate fails.
 
 ``lint``
     Determinism & invariant static analysis (:mod:`repro.lint`): run the
@@ -80,8 +81,8 @@ Four subcommands expose the library to shell users:
 
 ``figure``, ``chaos`` and ``bench`` additionally accept ``--trace FILE`` to
 record a structured span trace (JSON lines) of the run; see
-docs/OBSERVABILITY.md for how to read one.  They also accept
-``--checkpoint DIR`` / ``--resume`` for crash-safe resumable runs
+docs/OBSERVABILITY.md for how to read one.  ``figure`` and ``chaos`` also
+accept ``--checkpoint DIR`` / ``--resume`` for crash-safe resumable runs
 (:mod:`repro.durability`): completed work is journaled to
 ``DIR/run.journal``, and a killed run resumed with ``--resume`` produces
 output bit-identical to an uninterrupted one.  See docs/DURABILITY.md.
@@ -311,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list scenarios and exit"
     )
     bench.add_argument(
-        "--scale", choices=("smoke", "default"), default=None,
-        help="workload size (default: $REPRO_BENCH_SCALE or 'smoke')",
+        "--scale", choices=("smoke", "default"), default="smoke",
+        help="workload size (default: smoke)",
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
@@ -345,16 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", metavar="DIR",
         help="cProfile every scenario into DIR (<name>.pstats + "
              "<name>_top.txt)",
-    )
-    bench.add_argument(
-        "--checkpoint", metavar="DIR",
-        help="journal completed scenario results to DIR/run.journal so a "
-             "killed run can be resumed",
-    )
-    bench.add_argument(
-        "--resume", action="store_true",
-        help="with --checkpoint, reuse previously journaled scenario "
-             "results instead of re-measuring them",
     )
     bench.add_argument(
         "--trace", metavar="FILE",
@@ -886,8 +877,6 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if _reject_bare_resume(args):
-        return 2
 
     from .obs import bench
 
@@ -912,8 +901,6 @@ def _bench_run(args, bench) -> int:
         repeats=args.repeats,
         warmup=args.warmup,
         profile_dir=args.profile,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
         progress=lambda name: print(f"bench: {name} ...", file=sys.stderr),
     )
     print(bench.format_report(report))
@@ -931,6 +918,13 @@ def _bench_run(args, bench) -> int:
         bench.write_report(report, baseline_path)
         print(f"baseline updated at {baseline_path}", file=sys.stderr)
 
+    status = 0
+    gate_failures = bench.gate_failures(report)
+    if gate_failures:
+        print("bench wall gates FAILED:", file=sys.stderr)
+        for failure in gate_failures:
+            print(f"  gate: {failure}", file=sys.stderr)
+        status = 3
     if args.compare:
         with open(args.compare) as handle:
             baseline = json.load(handle)
@@ -948,7 +942,7 @@ def _bench_run(args, bench) -> int:
                 print(f"  regression: {failure}", file=sys.stderr)
             return 3
         print(f"bench comparison passed against {args.compare}", file=sys.stderr)
-    return 0
+    return status
 
 
 def _cmd_lint(args) -> int:

@@ -46,6 +46,10 @@ __all__ = ["ServerOverloadError", "StatsServer", "serve_forever"]
 #: (an explicit ``analyze`` request can override any of them via `params`).
 DEFAULT_BUILD_PARAMS: dict = {"k": 64, "f": 0.1, "gamma": 0.05}
 
+#: Longest request line (bytes) the TCP front end will frame; a longer
+#: line gets a ``ProtocolError`` envelope and the connection is closed.
+LINE_LIMIT = 64 * 1024
+
 
 class ServerOverloadError(ReproError):
     """Build shed by admission control with no last-known-good to serve."""
@@ -481,7 +485,16 @@ async def _client_loop(
     """Serve one TCP client: JSON request per line, JSON response per line."""
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # raised by readline past LINE_LIMIT
+                writer.write(_encode({
+                    "ok": False, "op": None,
+                    "error": f"request line exceeds {LINE_LIMIT} bytes",
+                    "code": "ProtocolError",
+                }))
+                await writer.drain()
+                break
             if not line:
                 break
             try:
@@ -530,7 +543,9 @@ async def _serve_async(
         """Spawn the per-client loop for one accepted connection."""
         await _client_loop(server, reader, writer, stop)
 
-    tcp = await asyncio.start_server(_on_connect, host=host, port=port)
+    tcp = await asyncio.start_server(
+        _on_connect, host=host, port=port, limit=LINE_LIMIT
+    )
     bound = tcp.sockets[0].getsockname()
     announce = f"SERVE_READY {bound[0]} {bound[1]}"
     print(announce, flush=True)

@@ -7,6 +7,7 @@ Tier-1 home of the perf-observability guarantees:
   same seed and scale (the acceptance criterion for BENCH_*.json),
 - the comparator passes a self-compare, fails on an injected logical
   regression, and gates wall-clock only when given a tolerance,
+- declared wall gates pass exactly at their bound and fail above it,
 - ``--profile`` writes ``.pstats`` files that ``pstats`` can load, and
 - the full registry at smoke scale still matches the checked-in
   ``benchmarks/baseline.json`` — the in-repo perf regression gate.
@@ -100,6 +101,8 @@ class TestDeterminism:
         for entry in report["scenarios"].values():
             assert set(entry["logical"]) == {"result", "io", "counters"}
             assert entry["wall"]["repeats"] == 1
+            assert "gate" not in entry["wall"]  # no SUBSET scenario is gated
+        assert bench.gate_failures(report) == []
         assert set(report["meta"]) == {"generated_at", "git_sha", "python"}
 
     def test_timing_metrics_never_enter_logical_counters(self):
@@ -162,6 +165,44 @@ class TestComparator:
         other["scale"] = "default"
         failures, _ = bench.compare_reports(report, other)
         assert any("scale mismatch" in f for f in failures)
+
+
+class TestWallGates:
+    """Declared wall gates: verdicts in the wall section, exact bound."""
+
+    GATED = ["serve_cache", "telemetry_overhead"]
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return bench.run_bench(scenarios=self.GATED, **FAST)
+
+    def test_gated_scenarios_declare_their_gates(self):
+        assert bench.SCENARIOS["serve_cache"].gate == bench.WallGate(
+            reading="hit_request_s", reference="cold_analyze_s", factor=0.1
+        )
+        assert bench.SCENARIOS["telemetry_overhead"].gate == bench.WallGate(
+            reading="telemetry_p99_s",
+            reference="baseline_p99_s",
+            factor=5.0,
+            floor_s=1e-3,
+        )
+
+    @pytest.mark.parametrize("name", GATED)
+    def test_bound_passes_doctored_reading_fails(self, report, name):
+        gate = bench.SCENARIOS[name].gate
+        wall = copy.deepcopy(report["scenarios"][name]["wall"])
+        assert wall["gate"]["reading_s"] == wall[gate.reading]
+        bound = gate.factor * wall[gate.reference] + gate.floor_s
+        wall[gate.reading] = bound
+        assert gate.verdict(wall)["passed"]
+
+        wall[gate.reading] = 2 * bound
+        verdict = gate.verdict(wall)
+        assert not verdict["passed"]
+        doctored = copy.deepcopy(report)
+        doctored["scenarios"][name]["wall"]["gate"] = verdict
+        failures = bench.gate_failures(doctored)
+        assert any(f.startswith(f"{name}: {gate.reading} <=") for f in failures)
 
 
 class TestProfiling:

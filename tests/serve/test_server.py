@@ -14,6 +14,7 @@ from repro.engine import Table
 from repro.engine.maintenance import RefreshPolicy
 from repro.serve import AdmissionController, StatsServer, serve_forever
 from repro.serve.protocol import SHUTDOWN_OP
+from repro.serve.server import LINE_LIMIT
 
 
 def _server(**kwargs):
@@ -196,34 +197,38 @@ class TestWarmStart:
         assert _ok(warm.handle({"op": "status"}))["durable"] is True
 
 
+def _serve_in_thread(tmp_path):
+    """Start the TCP front end on an ephemeral port; (thread, host, port)."""
+    ready = tmp_path / "ready"
+    thread = threading.Thread(
+        target=serve_forever,
+        kwargs={"server": _server(seed=5), "ready_path": str(ready)},
+        daemon=True,
+    )
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while not ready.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    token = ready.read_text().split()
+    assert token[0] == "SERVE_READY"
+    return thread, token[1], int(token[2])
+
+
+def _roundtrip(stream, payload):
+    stream.write((json.dumps(payload) + "\n").encode())
+    stream.flush()
+    return json.loads(stream.readline())
+
+
 class TestTcpFrontEnd:
     def test_json_lines_round_trip_and_shutdown(self, tmp_path):
-        ready = tmp_path / "ready"
-        server = _server(seed=5)
-        thread = threading.Thread(
-            target=serve_forever,
-            kwargs={"server": server, "ready_path": str(ready)},
-            daemon=True,
-        )
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while not ready.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        token = ready.read_text().split()
-        assert token[0] == "SERVE_READY"
-        host, port = token[1], int(token[2])
+        thread, host, port = _serve_in_thread(tmp_path)
 
         with socket.create_connection((host, port), timeout=5.0) as sock:
             stream = sock.makefile("rwb")
-
-            def roundtrip(payload):
-                stream.write((json.dumps(payload) + "\n").encode())
-                stream.flush()
-                return json.loads(stream.readline())
-
-            assert _ok(roundtrip({"op": "ping"})) == {"pong": True}
-            built = _ok(roundtrip(
-                {"op": "analyze", "table": "t", "column": "x"}
+            assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+            built = _ok(_roundtrip(
+                stream, {"op": "analyze", "table": "t", "column": "x"}
             ))
             assert built["version"] == 1
             stream.write(b"this is not json\n")
@@ -231,7 +236,32 @@ class TestTcpFrontEnd:
             garbage = json.loads(stream.readline())
             assert not garbage["ok"]
             assert garbage["code"] == "ProtocolError"
-            bye = roundtrip({"op": SHUTDOWN_OP})
+            bye = _roundtrip(stream, {"op": SHUTDOWN_OP})
             assert _ok(bye) == {"stopping": True}
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_oversized_line_gets_envelope_and_close(self, tmp_path):
+        thread, host, port = _serve_in_thread(tmp_path)
+        request = {
+            "op": "estimate_range", "table": "t" * (LINE_LIMIT + 4_000),
+            "column": "x", "lo": 0.0, "hi": 1.0,
+        }
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            stream = sock.makefile("rwb")
+            envelope = _roundtrip(stream, request)
+            assert envelope["ok"] is False
+            assert envelope["code"] == "ProtocolError"
+            assert str(LINE_LIMIT) in envelope["error"]
+            try:
+                rest = stream.readline()
+            except ConnectionResetError:  # close raced unread request bytes
+                rest = b""
+            assert rest == b""
+        # Only that connection closed: the server still answers others.
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            stream = sock.makefile("rwb")
+            assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+            _roundtrip(stream, {"op": SHUTDOWN_OP})
         thread.join(timeout=10.0)
         assert not thread.is_alive()

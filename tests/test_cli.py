@@ -391,6 +391,38 @@ class TestBench:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_wall_gate_exits_3(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        from repro.obs import bench
+
+        scenario = bench.SCENARIOS["serve_cache"]
+
+        def slow_hits(ctx):
+            result = scenario.run(ctx)
+            ctx["wall_extra"]["hit_request_s"] = 1e3  # doctored reading
+            return result
+
+        monkeypatch.setitem(
+            bench.SCENARIOS, "serve_cache",
+            dataclasses.replace(scenario, run=slow_hits),
+        )
+        out = tmp_path / "bench.json"
+        code = main(
+            self.BENCH + ["--scenario", "serve_cache", "--out", str(out)]
+        )
+        assert code == 3
+        assert "gate: serve_cache" in capsys.readouterr().err
+        wall = json.loads(out.read_text())["scenarios"]["serve_cache"]["wall"]
+        assert wall["gate"]["passed"] is False
+
+    @pytest.mark.parametrize("flag", [["--checkpoint", "ckpt"], ["--resume"]])
+    def test_checkpoint_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestLint:
     FIXTURES = str(
