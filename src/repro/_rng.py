@@ -13,6 +13,8 @@ from typing import Union
 
 import numpy as np
 
+from .exceptions import ParameterError
+
 __all__ = ["RngLike", "ensure_rng", "spawn_seeds", "spawn_rngs"]
 
 RngLike = Union[None, int, np.random.Generator]
@@ -50,7 +52,7 @@ def spawn_seeds(rng: RngLike, count: int) -> list[int]:
     streams bit-identical to the serial path.
     """
     if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+        raise ParameterError(f"count must be non-negative, got {count}")
     parent = ensure_rng(rng)
     return [int(s) for s in parent.integers(0, 2**63 - 1, size=count)]
 

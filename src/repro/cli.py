@@ -91,6 +91,7 @@ output bit-identical to an uninterrupted one.  See docs/DURABILITY.md.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from contextlib import contextmanager
 

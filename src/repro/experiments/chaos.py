@@ -27,7 +27,7 @@ from .._rng import RngLike, spawn_seeds
 from ..obs import trace as _trace
 from ..core.adaptive import cvb_build
 from ..core.error_metrics import fractional_max_error
-from ..exceptions import BuildAbortedError
+from ..exceptions import BuildAbortedError, ParameterError
 from ..storage.faults import FaultPolicy, FaultyHeapFile, ReadBudget, RetryPolicy
 from ..storage.heapfile import HeapFile
 from ..storage.iostats import IOStats
@@ -152,6 +152,8 @@ def chaos_sweep(
     of the theorem's separation), and the pool's trial stats.  Results are
     bit-identical for any *workers* / *chunk_size*.
     """
+    if trials <= 0:
+        raise ParameterError(f"trials must be positive, got {trials}")
     rate_seeds = spawn_seeds(seed, len(fault_rates))
     tasks = []
     for rate, rate_seed in zip(fault_rates, rate_seeds):

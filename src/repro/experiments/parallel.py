@@ -15,7 +15,9 @@ loop** for any worker count:
 ``map`` transparently falls back to an in-process sequential loop when
 ``max_workers=1``, when there is at most one trial, or when the callable /
 seeds cannot be pickled (closures, lambdas, bound locals) — the fallback
-produces the same floats, just without the fan-out.
+produces the same floats, just without the fan-out.  A parallel map
+survives worker loss: the chunks a dead worker held are re-dispatched, and
+a chunk that keeps killing its workers is quarantined.
 
 The pool also aggregates lightweight per-trial statistics
 (:class:`TrialStats`, exposed as ``pool.last_stats``): wall-clock time,
@@ -27,8 +29,10 @@ and page-read counts when trial callables opt in by returning
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -188,6 +192,26 @@ def _run_chunk(
     return out, None
 
 
+def _exit_with_parent() -> None:
+    """Worker initializer: end the worker once the pool's owner is gone.
+
+    A SIGKILLed owner never shuts its pool down, and a forked worker holds
+    its own copy of the task pipe, so it would wait on that pipe forever.
+    A daemon thread waits on the owner's process sentinel instead and exits
+    the worker when it fires.  The sentinel names the owner under every
+    start method; the parent pid does not, since under ``forkserver`` (the
+    Linux default from Python 3.14) it is the fork server's, which lives on
+    while any of its workers does.
+    """
+    owner = multiprocessing.parent_process()
+
+    def _watch() -> None:
+        owner.join()  # returns once the owner's sentinel reports its exit
+        os._exit(1)
+
+    threading.Thread(target=_watch, daemon=True).start()
+
+
 def _is_picklable(obj: Any) -> bool:
     try:
         pickle.dumps(obj)
@@ -221,9 +245,9 @@ class TrialPool:
         deterministically (same ``(fn, seeds)`` => same results).  Pick a
         value comfortably above the slowest chunk's runtime.
     max_redispatch:
-        How many times a lost chunk may be re-dispatched (after worker
-        crashes or heartbeat timeouts) before it is quarantined as a
-        poison task via
+        How many times a lost chunk may be re-dispatched (after a worker
+        crash in any parallel map, or a heartbeat timeout) before it is
+        quarantined as a poison task via
         :class:`~repro.exceptions.TaskQuarantinedError`.
 
     The underlying :class:`~concurrent.futures.ProcessPoolExecutor` is
@@ -303,7 +327,9 @@ class TrialPool:
     def _get_executor(self, workers: int) -> ProcessPoolExecutor:
         if self._executor is None or self._executor_workers != workers:
             self.close()
-            self._executor = ProcessPoolExecutor(max_workers=workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=_exit_with_parent
+            )
             self._executor_workers = workers
             _metrics.inc(
                 "repro_pool_executor_events_total", event="started"
@@ -324,22 +350,26 @@ class TrialPool:
     ) -> tuple[list, str, int, int, int]:
         """Chunk-at-a-time map with checkpointing and lost-worker recovery.
 
-        Used whenever a checkpoint or heartbeat is configured.  Chunks
-        journaled by a previous run splice straight back; the rest run
-        (in parallel when *use_processes*) and are journaled as they
-        complete.  Because every chunk's result is a pure function of
-        ``(fn, seeds)``, the reassembled output is bit-identical to the
-        plain path for any interruption/resume pattern.
+        Every :meth:`map` runs through here.  A serial map without a
+        checkpoint is one in-process chunk.  Otherwise chunks journaled by
+        a previous run splice straight back; the rest run (in parallel
+        when *use_processes*) and are journaled as they complete.  Because
+        every chunk's result is a pure function of ``(fn, seeds)``, the
+        reassembled output is bit-identical to the serial loop for any
+        worker count, worker loss or interruption/resume pattern.
 
         Returns ``(timed, mode, chunk_size, num_chunks, chunks_resumed)``.
         """
-        from ..durability import runjournal as _runjournal
-
+        if not use_processes and self.checkpoint is None:
+            timed, _ = _run_chunk(fn, seeds)
+            return timed, "serial", chunk or len(seeds) or 1, 1, 0
         if chunk is None:
             divisor = 4 * workers if use_processes else 4
             chunk = max(1, math.ceil(len(seeds) / divisor)) if seeds else 1
         plan = None
         if self.checkpoint is not None:
+            from ..durability import runjournal as _runjournal
+
             num_chunks = math.ceil(len(seeds) / chunk) if seeds else 0
             plan = self.checkpoint.begin_map(
                 _runjournal.seeds_key(seeds), chunk, num_chunks
@@ -386,88 +416,102 @@ class TrialPool:
         """Drive *pending* chunks to completion across worker losses.
 
         Each round submits every pending chunk, then waits with the
-        configured heartbeat.  A broken pool or an expired heartbeat
-        kills the workers and re-dispatches what is left — deterministic,
-        since re-running a chunk reproduces its results exactly.  A chunk
-        that outlives ``max_redispatch`` re-dispatches is quarantined.
+        configured heartbeat (forever when it is ``None``).  A broken pool
+        or an expired heartbeat kills the workers and re-dispatches what is
+        left — deterministic, since re-running a chunk reproduces its
+        results exactly.  A chunk that outlives ``max_redispatch``
+        re-dispatches is quarantined.  Worker-side metrics merge in chunk
+        order when the drive ends, however it ends, so the aggregate does
+        not depend on completion order.
         """
         dispatches = {index: 0 for index in pending}
-        while pending:
-            poison = [
-                index
-                for index in sorted(pending)
-                if dispatches[index] >= 1 + self.max_redispatch
-            ]
-            if poison:
-                index = poison[0]
-                if plan is not None:
-                    plan.quarantine(index, "workers lost repeatedly")
-                _metrics.inc(
-                    "repro_pool_tasks_quarantined_total", len(poison)
-                )
-                raise TaskQuarantinedError(
-                    f"chunk {index} lost its workers {dispatches[index]} "
-                    f"time(s); quarantined as a poison task after "
-                    f"{self.max_redispatch} re-dispatch(es)",
-                    chunk_index=index,
-                    seeds=chunks[index],
-                )
-            collect = _metrics.enabled()
-            executor = self._get_executor(workers)
-            futures = {}
-            for index in sorted(pending):
-                dispatches[index] += 1
-                futures[
-                    executor.submit(_run_chunk, fn, pending[index], collect)
-                ] = index
-            not_done = set(futures)
-            reason = None
-            try:
-                while not_done:
-                    done, not_done = wait(
-                        not_done,
-                        timeout=self.heartbeat_s,
-                        return_when=FIRST_COMPLETED,
+        metrics_by_chunk: dict[int, dict] = {}
+        try:
+            while pending:
+                poison = [
+                    index
+                    for index in sorted(pending)
+                    if dispatches[index] >= 1 + self.max_redispatch
+                ]
+                if poison:
+                    index = poison[0]
+                    if plan is not None:
+                        plan.quarantine(index, "workers lost repeatedly")
+                    _metrics.inc(
+                        "repro_pool_tasks_quarantined_total", len(poison)
                     )
-                    if not done:
-                        # Heartbeat expired with zero progress: presume
-                        # the workers are wedged or gone.
-                        reason = "timeout"
-                        break
-                    for future in done:
-                        index = futures[future]
-                        chunk_timed, chunk_metrics = future.result()
-                        timed_by_chunk[index] = chunk_timed
-                        del pending[index]
-                        if plan is not None:
-                            plan.record(index, chunk_timed)
-                        if chunk_metrics is not None and _metrics.enabled():
-                            _metrics.active_registry().merge_snapshot(
-                                chunk_metrics
-                            )
-            except BrokenExecutor:
-                # A worker died (SIGKILL, segfault): every in-flight
-                # future fails with BrokenProcessPool.
-                reason = "crash"
-            except BaseException:
-                # A trial raised, or the user hit Ctrl-C: surface it
-                # (the legacy-path semantics), don't re-dispatch.
+                    raise TaskQuarantinedError(
+                        f"chunk {index} lost its workers {dispatches[index]} "
+                        f"time(s); quarantined as a poison task after "
+                        f"{self.max_redispatch} re-dispatch(es)",
+                        chunk_index=index,
+                        seeds=chunks[index],
+                    )
+                collect = _metrics.enabled()
+                executor = self._get_executor(workers)
+                futures = {}
+                reason = None
+                try:
+                    # A worker can die while later chunks are still being
+                    # submitted; submit then raises BrokenProcessPool too.
+                    for index in sorted(pending):
+                        future = executor.submit(
+                            _run_chunk, fn, pending[index], collect
+                        )
+                        futures[future] = index
+                        dispatches[index] += 1
+                    not_done = set(futures)
+                    while not_done:
+                        done, not_done = wait(
+                            not_done,
+                            timeout=self.heartbeat_s,
+                            return_when=FIRST_COMPLETED,
+                        )
+                        if not done:
+                            # Heartbeat expired with zero progress: presume
+                            # the workers are wedged or gone.
+                            reason = "timeout"
+                            break
+                        for future in done:
+                            index = futures[future]
+                            chunk_timed, chunk_metrics = future.result()
+                            timed_by_chunk[index] = chunk_timed
+                            del pending[index]
+                            if plan is not None:
+                                plan.record(index, chunk_timed)
+                            if chunk_metrics is not None:
+                                metrics_by_chunk[index] = chunk_metrics
+                except BrokenExecutor:
+                    # A worker died (SIGKILL, segfault): every in-flight
+                    # future fails with BrokenProcessPool.
+                    reason = "crash"
+                except BaseException:
+                    # A trial raised, or the user hit Ctrl-C: surface it,
+                    # don't re-dispatch.
+                    for future in futures:
+                        future.cancel()
+                    self._terminate()
+                    raise
+                if not pending:
+                    return
+                if reason is None:
+                    continue
                 for future in futures:
                     future.cancel()
                 self._terminate()
-                raise
-            if not pending:
-                return
-            if reason is None:
-                continue
-            for future in futures:
-                future.cancel()
-            self._terminate()
-            _metrics.inc(
-                "repro_pool_chunks_redispatched_total",
-                len(pending),
-                reason=reason,
-            )
+                _metrics.inc(
+                    "repro_pool_chunks_redispatched_total",
+                    len(pending),
+                    reason=reason,
+                )
+        finally:
+            # Completed chunks count even when a trial raises or a chunk is
+            # quarantined, as their results are already journaled.
+            if _metrics.enabled():
+                for index in sorted(metrics_by_chunk):
+                    _metrics.active_registry().merge_snapshot(
+                        metrics_by_chunk[index]
+                    )
 
     # ------------------------------------------------------------------
     # Mapping
@@ -507,53 +551,11 @@ class TrialPool:
             and len(seeds) > 1
             and _is_picklable((fn, seeds))
         )
-        resilient = self.checkpoint is not None or (
-            use_processes and self.heartbeat_s is not None
-        )
         map_span = _trace.span("pool.map", trials=len(seeds))
-        resumed = 0
         with map_span:
-            if resilient:
-                timed, mode, chunk, num_chunks, resumed = self._map_chunked(
-                    fn, seeds, chunk, workers, use_processes
-                )
-            elif use_processes:
-                if chunk is None:
-                    chunk = max(1, math.ceil(len(seeds) / (4 * workers)))
-                chunks = [
-                    seeds[i : i + chunk] for i in range(0, len(seeds), chunk)
-                ]
-                collect = _metrics.enabled()
-                executor = self._get_executor(workers)
-                futures = [
-                    executor.submit(_run_chunk, fn, c, collect)
-                    for c in chunks
-                ]
-                try:
-                    timed = []
-                    for future in futures:
-                        chunk_timed, chunk_metrics = future.result()
-                        timed.extend(chunk_timed)
-                        if chunk_metrics is not None and _metrics.enabled():
-                            _metrics.active_registry().merge_snapshot(
-                                chunk_metrics
-                            )
-                except BaseException:
-                    # A trial raised (the worker re-raises it here), a worker
-                    # process died, or the user hit Ctrl-C.  Cancel what
-                    # hasn't started, kill the workers, and surface the
-                    # original exception instead of hanging on stragglers.
-                    for future in futures:
-                        future.cancel()
-                    self._terminate()
-                    raise
-                mode = "process"
-                num_chunks = len(chunks)
-            else:
-                timed, _ = _run_chunk(fn, seeds)
-                mode = "serial"
-                chunk = chunk or len(seeds) or 1
-                num_chunks = 1
+            timed, mode, chunk, num_chunks, resumed = self._map_chunked(
+                fn, seeds, chunk, workers, use_processes
+            )
             map_span.set(mode=mode, chunks=num_chunks)
 
         elapsed = time.perf_counter() - start  # repro: noqa[DET002]

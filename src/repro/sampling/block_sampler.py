@@ -23,7 +23,7 @@ import numpy as np
 
 from .._rng import RngLike, ensure_rng
 from ..core import kernels
-from ..exceptions import BuildAbortedError, ParameterError
+from ..exceptions import BuildAbortedError, ParameterError, StorageError
 from ..obs import metrics as _metrics
 from ..storage.faults import BudgetTracker, RetryPolicy, read_pages_resilient
 from ..storage.heapfile import HeapFile
@@ -70,9 +70,6 @@ def sample_blocks(
     page_ids = sample_block_ids(
         heapfile.num_pages, num_blocks, rng, with_replacement
     )
-    if retry is None and budget is None:
-        # No fault policy configured, nothing to route around.
-        return heapfile.read_pages(page_ids)  # repro: noqa[FLT001]
     payload, _, _ = read_pages_resilient(
         heapfile, page_ids, retry=retry, budget=budget
     )
@@ -165,24 +162,25 @@ class BlockSampleStream:
         ``sizes[i]`` is the tuple count of the i-th delivered page, so
         callers can recover page boundaries from the flat payload.
         """
-        if self._retry is None and self._budget is None:
-            return self._next_unguarded(num_blocks)
-        # Each window of the shuffled order resolves in one resilient batch
-        # read; skipped pages are replaced by extending the window.  On a
-        # budget abort the cursor and skip list cover exactly the pages
-        # consumed up to (and including) the aborting one.
+        # Each window of the shuffled order resolves in one batch read;
+        # skipped pages are replaced by extending the window.  When a read
+        # raises (a fault without a retry policy, or a budget abort), the
+        # cursor and skip list cover exactly the pages consumed up to (and
+        # including) the failing one.
         chunks = []
         sizes_parts = []
         delivered = 0
         while delivered < num_blocks and self._cursor < self._order.size:
             start = self._cursor
             end = min(start + (num_blocks - delivered), int(self._order.size))
-            window = self._order[start:end].astype(np.int64)
             try:
                 payload, delivered_ids, skipped = read_pages_resilient(
-                    self._file, window, retry=self._retry, budget=self._budget
+                    self._file,
+                    self._order[start:end],
+                    retry=self._retry,
+                    budget=self._budget,
                 )
-            except BuildAbortedError as exc:
+            except (StorageError, BuildAbortedError) as exc:
                 self._cursor = start + exc.pages_consumed
                 self._skipped.extend(exc.skipped_ids)
                 raise
@@ -195,31 +193,10 @@ class BlockSampleStream:
         if not chunks:
             empty = np.asarray([], dtype=np.int64)
             return self._file.values_unaccounted()[:0], empty
+        if len(chunks) == 1:
+            # The common case (every page readable): no concatenate copy.
+            return chunks[0], sizes_parts[0]
         return np.concatenate(chunks), np.concatenate(sizes_parts)
-
-    def _next_unguarded(self, num_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_next_readable` without a fault policy: faults propagate.
-
-        A plain heap file delivers every consumed page, so the batch is one
-        slice of the shuffled order and one gather.  A ``read_page``
-        override (fault injection) is read page by page, so an injected
-        fault raises with the cursor just past the page that hit it.
-        """
-        if type(self._file).read_page is HeapFile.read_page:
-            end = min(self._cursor + num_blocks, int(self._order.size))
-            ids = self._order[self._cursor : end].astype(np.int64)
-            self._cursor = end
-            payload = self._file.read_pages(ids)  # repro: noqa[FLT001]
-            return payload, self._page_sizes(ids)
-        chunks: list[np.ndarray] = []
-        while len(chunks) < num_blocks and self._cursor < self._order.size:
-            pid = int(self._order[self._cursor])
-            self._cursor += 1
-            chunks.append(self._file.read_page(pid))  # repro: noqa[FLT001]
-        sizes = np.asarray([chunk.size for chunk in chunks], dtype=np.int64)
-        if not chunks:
-            return self._file.values_unaccounted()[:0], sizes
-        return np.concatenate(chunks), sizes
 
     def take(self, num_blocks: int) -> np.ndarray:
         """Values from the next *num_blocks* sampled (readable) pages.

@@ -20,7 +20,8 @@ makes the simulator behave like a storage stack that serves traffic:
   skipped pages and simulated time; exceeding it raises
   :class:`~repro.exceptions.BuildAbortedError`.
 - :func:`read_page_resilient` / :func:`read_record_resilient` /
-  :func:`resilient_scan` — the retrying access paths used by the samplers.
+  :func:`resilient_scan` — the retrying access paths used by the samplers,
+  and :func:`read_pages_resilient`, their one page-batch read path.
 
 Every random decision is a pure function of ``(policy seed, page id,
 attempt index)`` — derived through :class:`numpy.random.SeedSequence`, the
@@ -37,13 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._rng import RngLike, spawn_seeds
-from ..core import kernels
 from ..obs import metrics as _metrics
 from ..exceptions import (
     BuildAbortedError,
     PageCorruptionError,
     ParameterError,
     SimulatedCrashError,
+    StorageError,
     TransientIOError,
 )
 from .heapfile import HeapFile
@@ -257,16 +258,22 @@ class FaultyHeapFile(HeapFile):
         payload = self.read_page(page_id)
         return payload[record_index - page_id * self.blocking_factor]
 
+    def read_pages(self, page_ids) -> np.ndarray:
+        """Read *page_ids* one :meth:`read_page` at a time.
+
+        A fault raises at the page it hits, with the pages before it
+        already charged; use :func:`read_pages_resilient` with a retry
+        policy to retry and skip bad pages instead.
+        """
+        return read_pages_resilient(self, page_ids)[0]
+
     def scan(self) -> np.ndarray:
         """Full scan through the faulty read path.
 
         Raises on the first fault; use :func:`resilient_scan` to retry and
         skip bad pages instead.
         """
-        chunks = [self.read_page(pid) for pid in range(self.num_pages)]
-        if not chunks:
-            return self.values_unaccounted()[:0]
-        return np.concatenate(chunks)
+        return self.read_pages(range(self.num_pages))
 
     def __repr__(self) -> str:
         return (
@@ -615,73 +622,54 @@ def read_pages_resilient(
     retry: RetryPolicy | None = None,
     budget: BudgetTracker | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Batched twin of :func:`read_page_resilient`.
+    """Read a batch of pages: the one page-batch read path of the samplers.
 
     Reads *page_ids* in order and returns ``(payload, delivered_ids,
     skipped_ids)``: the concatenated values of every readable page, the
     ids actually delivered (in input order), and the ids permanently
-    skipped.  Counter totals, metrics, budget charges and their ordering —
-    including the exact page at which a budget abort raises
-    :class:`~repro.exceptions.BuildAbortedError` — are bit-identical to
-    calling :func:`read_page_resilient` once per id.
+    skipped.
 
-    A plain heap file is read with one batched gather.  On a
-    :class:`FaultyHeapFile` without transient faults, page outcomes are
-    fixed by the policy's corrupt set, so runs of clean pages between
-    corrupt ones are gathered with one call each.  Transient faults (or any
-    other ``read_page`` override) go one page at a time through
-    :func:`read_page_resilient`: retry backoff is inherently sequential.
+    A plain heap file cannot fail, so it is read with one
+    :meth:`HeapFile.read_pages` gather.  A :class:`FaultyHeapFile` is read
+    one page at a time: through its ``read_page`` when neither *retry* nor
+    *budget* is given, so a fault propagates, and otherwise through
+    :func:`read_page_resilient`, which retries transients and skips
+    unreadable pages.  The ``repro_resilient_reads_total`` metric counts
+    the pages only when a *retry* or *budget* is given.
 
-    A budget abort re-raises with ``pages_consumed`` (how many of
-    *page_ids* were consumed, the aborting one included) and
+    A fault or budget abort re-raises with ``pages_consumed`` (how many of
+    *page_ids* were consumed, the failing one included) and
     ``skipped_ids`` (the ids skipped before it) set on the error, so a
-    caller can account for exactly the pages a per-page loop would have.
+    caller can account for exactly the pages read so far.
     """
     ids = np.asarray(page_ids, dtype=np.int64)
-    if ids.size == 0:
-        return heapfile.values_unaccounted()[:0], ids, []
-    if type(heapfile).read_page is HeapFile.read_page:
-        # Fault-free file: nothing can fail, one batched gather suffices.
+    guarded = retry is not None or budget is not None
+    if not isinstance(heapfile, FaultyHeapFile):
         payload = heapfile.read_pages(ids)
-        _metrics.inc(
-            "repro_resilient_reads_total", int(ids.size), outcome="delivered"
-        )
+        if guarded and ids.size:
+            _metrics.inc(
+                "repro_resilient_reads_total", int(ids.size), outcome="delivered"
+            )
         return payload, ids, []
 
     chunks: list[np.ndarray] = []
     delivered: list[int] = []
     skipped: list[int] = []
     try:
-        if (
-            type(heapfile) is FaultyHeapFile
-            and heapfile.policy.transient_rate == 0.0
-        ):
-            run: list[int] = []
-            for pid in ids.tolist():
-                if pid not in heapfile.corrupt_pages:
-                    run.append(pid)
-                    continue
-                if run:
-                    chunks.append(_read_clean_run(heapfile, run))
-                    delivered.extend(run)
-                    run = []
-                _skip_corrupt_page(heapfile, pid, budget)
-                skipped.append(pid)
-            if run:
-                chunks.append(_read_clean_run(heapfile, run))
-                delivered.extend(run)
-        else:
-            for pid in ids.tolist():
+        for pid in ids.tolist():
+            if guarded:
                 payload = read_page_resilient(
                     heapfile, pid, retry=retry, budget=budget
                 )
-                if payload is None:
-                    skipped.append(pid)
-                else:
-                    chunks.append(payload)
-                    delivered.append(pid)
-    except BuildAbortedError as exc:
-        # Every page before the aborting one was delivered or skipped.
+            else:
+                payload = heapfile.read_page(pid)
+            if payload is None:
+                skipped.append(pid)
+            else:
+                chunks.append(payload)
+                delivered.append(pid)
+    except (StorageError, BuildAbortedError) as exc:
+        # Every page before the failing one was delivered or skipped.
         exc.pages_consumed = len(delivered) + len(skipped) + 1
         exc.skipped_ids = skipped
         raise
@@ -690,49 +678,6 @@ def read_pages_resilient(
     else:
         flat = heapfile.values_unaccounted()[:0]
     return flat, np.asarray(delivered, dtype=np.int64), skipped
-
-
-def _read_clean_run(heapfile: FaultyHeapFile, run: list[int]) -> np.ndarray:
-    """Deliver a run of clean pages of a corruption-only file in one gather.
-
-    Same accounting as one :meth:`FaultyHeapFile.read_page` per page
-    (attempt counts, latency, read counters, delivered metric), in one
-    batched call each.  Clean deliveries never charge the budget, so
-    intra-run ordering is unobservable.
-    """
-    ids = np.asarray(run, dtype=np.int64)
-    for pid in run:
-        heapfile._attempts[pid] = heapfile._attempts.get(pid, 0) + 1
-    if heapfile.policy.read_latency_s:
-        heapfile.iostats.record_latency(heapfile.policy.read_latency_s * len(run))
-    payload = kernels.gather_pages(
-        heapfile.values_unaccounted(), ids, heapfile.blocking_factor
-    )
-    heapfile.iostats.record_reads(ids)
-    _metrics.inc("repro_resilient_reads_total", len(run), outcome="delivered")
-    return payload
-
-
-def _skip_corrupt_page(
-    heapfile: FaultyHeapFile, pid: int, budget: BudgetTracker | None
-) -> None:
-    """Account for one corrupt page exactly as the per-page path does.
-
-    Mirrors :meth:`FaultyHeapFile.read_page` failing the checksum, then
-    :func:`read_page_resilient`'s corruption branch, charge order included
-    (a budget abort must raise at the same point).
-    """
-    heapfile._attempts[pid] = heapfile._attempts.get(pid, 0) + 1
-    if heapfile.policy.read_latency_s:
-        heapfile.iostats.record_latency(heapfile.policy.read_latency_s)
-    heapfile.iostats.record_failed_read(pid)
-    _metrics.inc("repro_fault_events_total", kind="corrupt")
-    if budget is not None:
-        budget.charge_failure()
-    heapfile.iostats.record_skip(pid)
-    if budget is not None:
-        budget.charge_skip()
-    _metrics.inc("repro_resilient_reads_total", outcome="skipped")
 
 
 def read_record_resilient(

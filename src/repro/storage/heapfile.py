@@ -144,10 +144,6 @@ class HeapFile:
         """
         if len(page_ids) == 0:
             return self._values[:0]
-        if type(self).read_page is not HeapFile.read_page:
-            # Fault-injecting subclasses override read_page; honour their
-            # per-page semantics (a fault raises at the page it hits).
-            return np.concatenate([self.read_page(int(pid)) for pid in page_ids])
         ids = np.asarray(page_ids, dtype=np.int64)
         bad = (ids < 0) | (ids >= self.num_pages)
         if bad.any():

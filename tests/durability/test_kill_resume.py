@@ -9,11 +9,15 @@ this outside pytest).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import time
+
+import pytest
 
 from repro.durability import kill_and_resume
 
@@ -23,6 +27,35 @@ FIGURE_ARGS = [
     "figure", "5",
     "--n", "50000", "--k", "20", "--trials", "3", "--rates", "0.05,0.2",
 ]
+
+
+#: Runs a two-worker map under the start method named by its argument,
+#: prints the pids of the workers that ran trials and of every live worker,
+#: then SIGKILLs itself.
+_KILL_PARENT_SCRIPT = """
+import multiprocessing, os, signal, sys
+from repro.experiments.parallel import TrialPool
+
+def worker_pid(_):
+    return os.getpid()
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    pool = TrialPool(max_workers=2, chunk_size=1)
+    pids = set(pool.map(worker_pid, range(8)))
+    pids.update(child.pid for child in multiprocessing.active_children())
+    print(*sorted(pids), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def _env() -> dict:
@@ -70,3 +103,33 @@ class TestKillAndResume:
         )
         assert completed.returncode == 2
         assert "--resume requires --checkpoint" in completed.stderr
+
+
+class TestWorkerCleanup:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    @pytest.mark.parametrize("start_method", ["fork", "forkserver", "spawn"])
+    def test_workers_exit_when_parent_is_killed(self, tmp_path, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method!r} start method here")
+        # Under forkserver (the Linux default from Python 3.14) a worker's
+        # parent is the fork server, not the process that owns the pool.
+        script = tmp_path / "kill_parent.py"
+        script.write_text(_KILL_PARENT_SCRIPT)
+        pids_file = tmp_path / "pids.txt"
+        with open(pids_file, "w") as out:
+            completed = subprocess.run(
+                [sys.executable, str(script), start_method],
+                stdout=out,
+                env=_env(),
+                cwd=ROOT,
+                timeout=60,
+            )
+        assert completed.returncode == -signal.SIGKILL
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert pids
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids)), f"orphaned workers: {pids}"

@@ -11,11 +11,14 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.durability import RunCheckpoint, read_records
 from repro.exceptions import TaskQuarantinedError
 from repro.experiments.parallel import TrialPool
+from repro.obs import metrics
+from repro.storage.heapfile import HeapFile
 
 
 def _die_once_trial(token):
@@ -50,6 +53,21 @@ def _wedge_once_trial(token):
     return float(seed) * 2.0
 
 
+def _read_then_fail_trial(token):
+    """Read one page; seed 13 raises once the three other trials are done."""
+    seed, sentinel_dir = token
+    if seed == 13:
+        deadline = time.monotonic() + 30.0
+        while len(os.listdir(sentinel_dir)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(0.5)  # let the parent collect those chunks first
+        raise ValueError("trial 13 failed")
+    HeapFile(np.arange(10), blocking_factor=10).read_page(0)
+    with open(os.path.join(sentinel_dir, f"done-{seed}"), "x"):
+        pass
+    return float(seed)
+
+
 def _tokens(tmp_path):
     return [(seed, str(tmp_path)) for seed in (1, 13, 3, 4)]
 
@@ -58,8 +76,15 @@ EXPECTED = [2.0, 26.0, 6.0, 8.0]
 
 
 class TestWorkerLoss:
-    def test_worker_crash_redispatches_deterministically(self, tmp_path):
-        with TrialPool(max_workers=2, chunk_size=1, heartbeat_s=60.0) as pool:
+    @pytest.mark.parametrize("heartbeat_s", [60.0, None])
+    def test_worker_crash_redispatches_deterministically(
+        self, tmp_path, heartbeat_s
+    ):
+        # Re-dispatch needs neither a heartbeat nor a checkpoint: every
+        # parallel map survives a dead worker.
+        with TrialPool(
+            max_workers=2, chunk_size=1, heartbeat_s=heartbeat_s
+        ) as pool:
             results = pool.map(_die_once_trial, _tokens(tmp_path))
         assert results == EXPECTED
         assert (tmp_path / "died-once").exists()
@@ -84,6 +109,30 @@ class TestWorkerLoss:
         assert tail is None
         chunk_records = [r for r in records if r.get("op") == "chunk"]
         assert sorted(r["chunk"] for r in chunk_records) == [0, 1, 2, 3]
+
+
+class TestWorkerMetrics:
+    def test_raising_trial_keeps_completed_chunks_metrics(self, tmp_path):
+        # The chunks that finished before a trial raised are journaled, so
+        # their worker-side counters must reach the parent's registry too.
+        done_dir = tmp_path / "done"
+        done_dir.mkdir()
+        checkpoint_dir = tmp_path / "ckpt"
+        tokens = [(seed, str(done_dir)) for seed in (1, 13, 3, 4)]
+        with metrics.collecting() as registry:
+            with TrialPool(
+                max_workers=2,
+                chunk_size=1,
+                checkpoint=RunCheckpoint(checkpoint_dir),
+            ) as pool:
+                with pytest.raises(ValueError, match="trial 13 failed"):
+                    pool.map(_read_then_fail_trial, tokens)
+        records, _, _ = read_records(checkpoint_dir / "run.journal")
+        journaled = [r for r in records if r.get("op") == "chunk"]
+        assert journaled
+        assert registry.counter_value("repro_page_reads_total") == len(
+            journaled
+        )
 
 
 class TestQuarantine:

@@ -14,6 +14,8 @@ Two guarantees are locked down here:
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from repro.storage.faults import (
     RetryPolicy,
 )
 from repro.storage.heapfile import HeapFile
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SWEEP_KWARGS = dict(
     fault_rates=(0.0, 0.1),
@@ -176,3 +180,33 @@ class TestChaosSweepContent:
         assert result["target_f"] == SWEEP_KWARGS["f"]
         assert result["theorem7_bound"] == 2 * SWEEP_KWARGS["f"]
         assert result["pool_stats"].trials == 4
+
+
+class TestChaosGolden:
+    """The fault path's report, pinned byte for byte.
+
+    Rate 0 runs a corruption-only file (two pages skipped across the two
+    trials); rate 0.05 adds transient faults and retries.  Regenerate after
+    an intentional change with::
+
+        REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/experiments/test_chaos.py
+    """
+
+    def test_report_matches_golden(self):
+        result = chaos_sweep(
+            fault_rates=(0.0, 0.05),
+            n=20_000,
+            k=10,
+            corrupt_fraction=0.01,
+            trials=2,
+            seed=7,
+        )
+        actual = format_chaos_report(result) + "\n"
+        path = GOLDEN_DIR / "chaos_report.txt"
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(actual)
+        assert actual == path.read_text(), (
+            "chaos report drifted from its golden file; if the change is "
+            "intentional, regenerate with REPRO_REGEN_GOLDEN=1"
+        )

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.storage import FaultPolicy, FaultyHeapFile, HeapFile
+from repro.storage import HeapFile
 
 from . import oracle
 
@@ -35,9 +35,8 @@ def implementation(mode: str) -> Iterator[None]:
     """Run a ``with`` block against the oracles or against production.
 
     ``"scalar"`` patches every oracle over its ``repro.core.kernels``
-    namesake, which also makes :func:`heap_file` / :func:`faulty_file`
-    build the per-page oracle file classes; ``"vector"`` runs production
-    untouched.
+    namesake, which also makes :func:`heap_file` build the per-page oracle
+    file class; ``"vector"`` runs production untouched.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -58,12 +57,6 @@ def heap_file(values: np.ndarray, **kwargs) -> HeapFile:
     """``HeapFile.from_values`` in the active mode's file class."""
     cls = oracle.OracleHeapFile if _oracles_active() else HeapFile
     return cls.from_values(values, **kwargs)
-
-
-def faulty_file(inner: HeapFile, policy: FaultPolicy) -> FaultyHeapFile:
-    """A :class:`FaultyHeapFile` over *inner* in the active mode's class."""
-    cls = oracle.OracleFaultyHeapFile if _oracles_active() else FaultyHeapFile
-    return cls(inner, policy)
 
 
 #: Dataset families the strategies draw from; names show up in failure
@@ -113,9 +106,8 @@ def run_both(fn):
     """Run ``fn()`` once per mode; return ``{mode: result}``.
 
     *fn* must build all of its state from scratch on each call (fresh
-    heap files via :func:`heap_file` / :func:`faulty_file`, fresh
-    generators) so the two executions differ only in the implementations
-    they run.
+    heap files via :func:`heap_file`, fresh generators) so the two
+    executions differ only in the implementations they run.
     """
     results = {}
     for mode in MODES:

@@ -7,10 +7,11 @@ suite patches them into ``repro.core.kernels`` (see
 :func:`tests.kernels.conftest.implementation`) and requires production to
 match them bit-for-bit: arrays, dtypes, exceptions, and RNG consumption.
 
-:class:`OracleHeapFile` and :class:`OracleFaultyHeapFile` do the same for
-storage: they force the per-page read paths that production keeps for
-fault-injecting files, so batched reads are compared against one
-``read_page`` (and one ``read_page_resilient``) per page.
+:class:`OracleHeapFile` does the same for storage: it reads a page batch
+one ``read_page`` at a time, so production's one-gather ``read_pages`` (and
+every sampler built on it) is compared against a per-page loop.
+Fault-injecting files need no oracle: production already reads them one
+page at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.exceptions import EmptyDataError, ParameterError
-from repro.storage import FaultyHeapFile, HeapFile
+from repro.storage import HeapFile
 
 
 def gather_pages(
@@ -104,25 +105,20 @@ ORACLES = {
 class OracleHeapFile(HeapFile):
     """A plain heap file read one page at a time.
 
-    Overriding ``read_page`` (with identical behaviour) sends
-    ``read_pages``, the block samplers and ``read_pages_resilient`` down
-    their per-page paths; ``scan`` charges one ``record_read`` per page.
+    ``read_pages`` (the one batch read behind the block samplers and
+    ``read_pages_resilient``) concatenates one ``read_page`` per id, and
+    ``scan`` charges one ``record_read`` per page.
     """
 
-    def read_page(self, page_id: int) -> np.ndarray:
-        """Exactly :meth:`HeapFile.read_page`."""
-        return super().read_page(page_id)
+    def read_pages(self, page_ids) -> np.ndarray:
+        """One :meth:`HeapFile.read_page` per id, concatenated."""
+        chunks = [self.read_page(int(pid)) for pid in page_ids]
+        if not chunks:
+            return self.values_unaccounted()[:0]
+        return np.concatenate(chunks)
 
     def scan(self) -> np.ndarray:
         """Full scan charged page by page."""
         for page_id in range(self.num_pages):
             self.iostats.record_read(page_id)
         return self.values_unaccounted()
-
-
-class OracleFaultyHeapFile(FaultyHeapFile):
-    """A faulty heap file that ``read_pages_resilient`` reads page by page.
-
-    Being a subclass, it never takes the corruption-only batched path, so
-    every id goes through :func:`~repro.storage.faults.read_page_resilient`.
-    """

@@ -1,11 +1,13 @@
-"""Fault-path differential: batched skip-and-redraw matches per-page reads.
+"""Fault-path differential: skip-and-redraw under the oracle kernels.
 
-Production resolves faulty reads in batches (runs of clean pages between
-corrupt ones gather in one call) while the oracle files force one
-``read_page_resilient`` per page.  These tests prove the *observable*
-contract: with identical fault injection, both deliver the same payloads,
-skip the same pages, charge the same retries/failed reads/latency, abort a
-budget at the same page, and build the same final histogram.
+A faulty file is read one page at a time in both modes (there is one
+fault path); what the modes swap is everything around it: the plain-file
+gather (:class:`~tests.kernels.oracle.OracleHeapFile` reads page by page)
+and the one-per-block, merge and histogram kernels CVB runs on the
+delivered pages.  These tests prove the *observable* contract: with
+identical fault injection, both deliver the same payloads, skip the same
+pages, charge the same retries/failed reads/latency, abort a budget at the
+same page, and build the same final histogram.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.storage.faults import ReadBudget
 from .conftest import (
     assert_arrays_identical,
     assert_histograms_identical,
-    faulty_file,
     heap_file,
     make_values,
     run_both,
@@ -50,7 +51,7 @@ def _faulty(policy: FaultPolicy, seed: int = 0) -> FaultyHeapFile:
         rng=np.random.default_rng(seed + 1),
         blocking_factor=40,
     )
-    return faulty_file(inner, policy)
+    return FaultyHeapFile(inner, policy)
 
 
 class TestStreamFaultDifferential:
@@ -110,9 +111,9 @@ class TestStreamFaultDifferential:
         assert got["scalar"][1:] == got["vector"][1:]
 
     def test_faulty_file_without_retry_raises_identically(self):
-        # Without a retry policy the *type guard* (not the fault knobs) is
-        # what keeps production honest: FaultyHeapFile overrides read_page,
-        # so batched reads must not bypass injection.
+        # Without a retry policy nothing routes around a fault: the stream
+        # reads a FaultyHeapFile through its own read_page, so it must
+        # raise at the first bad page instead of gathering past it.
         policy = FaultPolicy(corrupt_fraction=0.5, seed=2)
 
         def sample():
@@ -201,10 +202,9 @@ class TestResilientBoundaryDifferential:
         assert got["vector"][1]["failed_reads"] > 5
 
     def test_corruption_only_budget_abort_mid_batch_identical(self):
-        # Corruption only: production resolves the window in one batched
-        # read, which aborts mid-window.  The stream must still consume
-        # exactly the pages a per-page loop would have: the five skipped
-        # pages and the aborting one, with no pages beyond it.
+        # Corruption only: the budget aborts partway through a window.  The
+        # stream must consume exactly the pages read so far: the five
+        # skipped pages and the aborting one, with no pages beyond it.
         policy = FaultPolicy(corrupt_fraction=0.3, seed=13)
         got = run_both(lambda: self._take_under_budget(policy))
         assert got["scalar"] == got["vector"]

@@ -5,12 +5,12 @@ import pytest
 
 from repro.core.histogram import EquiHeightHistogram
 from repro.core.error_metrics import max_error_fraction
-from repro.exceptions import ParameterError
+from repro.exceptions import PageCorruptionError, ParameterError
 from repro.sampling.page_samplers import (
     bernoulli_page_sample,
     systematic_page_sample,
 )
-from repro.storage import HeapFile
+from repro.storage import FaultPolicy, FaultyHeapFile, HeapFile
 
 
 class TestBernoulli:
@@ -81,3 +81,29 @@ class TestSystematic:
                 max_error_fraction(hist.recount(data).counts)
             )
         assert np.mean(systematic_errors) > 2 * np.mean(bernoulli_errors)
+
+
+class TestCorruptFile:
+    """Both samplers read through the file's faulty path: no silent skips."""
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda hf, rng: bernoulli_page_sample(hf, 1.0, rng),
+            lambda hf, rng: systematic_page_sample(hf, 1, rng),
+        ],
+        ids=["bernoulli", "systematic"],
+    )
+    def test_raises_at_first_bad_page(self, sample, rng):
+        # p = 1 and stride 1 both read every page in order, so the first
+        # corrupt page raises after exactly the pages before it.
+        faulty = FaultyHeapFile(
+            HeapFile(np.arange(1000), blocking_factor=10),
+            FaultPolicy(corrupt_fraction=0.2, seed=9),
+        )
+        bad = min(faulty.corrupt_pages)
+        with pytest.raises(PageCorruptionError) as exc_info:
+            sample(faulty, rng)
+        assert exc_info.value.page_id == bad
+        assert faulty.iostats.page_reads == bad
+        assert faulty.iostats.failed_reads == 1

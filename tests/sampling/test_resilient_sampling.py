@@ -11,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import BuildAbortedError, PageCorruptionError
+from repro.exceptions import (
+    BuildAbortedError,
+    PageCorruptionError,
+    TransientIOError,
+)
 from repro.sampling.block_sampler import BlockSampleStream, sample_blocks
 from repro.sampling.record_sampler import sample_records_from_file
 from repro.storage.faults import (
@@ -104,6 +108,33 @@ class TestBlockStreamSkipAndRedraw:
         stream = BlockSampleStream(faulty, rng=5)
         with pytest.raises(PageCorruptionError):
             stream.take(faulty.num_pages)
+
+    @pytest.mark.parametrize(
+        "transient, corrupt, error",
+        [(0.0, 0.1, PageCorruptionError), (0.3, 0.0, TransientIOError)],
+    )
+    def test_propagated_fault_consumes_through_faulting_page(
+        self, transient, corrupt, error
+    ):
+        # With no retry policy the fault propagates; the stream has then
+        # consumed exactly the pages up to and including the faulting one.
+        faulty = make_faulty(transient=transient, corrupt=corrupt)
+        twin = BlockSampleStream(make_file(), rng=5)
+        twin.take(faulty.num_pages)
+        order = twin.taken_ids.tolist()
+        first_bad = next(
+            i
+            for i, pid in enumerate(order)
+            if pid in faulty.corrupt_pages
+            or faulty.policy.transient_fault(pid, 0)
+        )
+        stream = BlockSampleStream(faulty, rng=5)
+        with pytest.raises(error):
+            stream.take(faulty.num_pages)
+        assert stream.pages_taken == first_bad + 1
+        assert stream.taken_ids.tolist() == order[: first_bad + 1]
+        assert stream.pages_skipped == 0
+        assert faulty.iostats.page_reads == first_bad
 
     def test_budget_abort_propagates(self):
         faulty = make_faulty(transient=0.0, corrupt=0.3)

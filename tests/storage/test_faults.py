@@ -228,6 +228,21 @@ class TestCorruption:
         lo, _ = faulty.page_bounds(good)
         assert value == faulty.values_unaccounted()[lo]
 
+    def test_read_pages_raises_at_first_bad_page(self):
+        # A batch read must not gather past a corrupt page: it raises there,
+        # with the clean pages before it charged and none after it.
+        policy = FaultPolicy(corrupt_fraction=0.2, seed=9)
+        faulty = FaultyHeapFile(make_file(), policy)
+        bad = min(faulty.corrupt_pages)
+        clean = [
+            p for p in range(faulty.num_pages) if p not in faulty.corrupt_pages
+        ]
+        with pytest.raises(PageCorruptionError) as exc_info:
+            faulty.read_pages(clean[:3] + [bad] + clean[3:6])
+        assert exc_info.value.page_id == bad
+        assert faulty.iostats.page_reads == 3
+        assert faulty.iostats.failed_reads == 1
+
 
 class TestRetryPolicy:
     def test_validation(self):

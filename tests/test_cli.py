@@ -276,6 +276,14 @@ class TestChaos:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_chaos_rejects_bad_trials(self, trials, capsys):
+        code = main(["chaos", "--trials", trials, "--n", "2000"])
+        assert code == 1
+        assert f"trials must be positive, got {trials}" in (
+            capsys.readouterr().err
+        )
+
     def test_chaos_rate_list_parse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["chaos", "--fault-rate", "a,b"])
@@ -475,6 +483,15 @@ class TestLint:
         )
         assert code == 0
         capsys.readouterr()
+
+    def test_graph_with_root_writes_dot(self, tmp_path, capsys):
+        graph = tmp_path / "calls.dot"
+        code = main(
+            ["lint", "--root", self.FIXTURES, "--flow", "--graph", str(graph)]
+        )
+        assert code == 1  # the fixture repo has findings
+        assert graph.read_text().startswith("digraph")
+        assert "call graph written" in capsys.readouterr().err
 
     def test_out_writes_report_file(self, tmp_path, capsys):
         out = tmp_path / "lint.json"
