@@ -1,15 +1,15 @@
 """Random-number-generator plumbing.
 
-Every stochastic component of the library accepts either a seed (``int``), an
-existing :class:`numpy.random.Generator`, or ``None`` (fresh entropy) and
-normalises it through :func:`ensure_rng`.  Experiments therefore reproduce
-exactly given a seed, while library users can share one generator across
-components when they need correlated streams.
+Every stochastic component of the library accepts either a seed (an ``int``
+or a list of ints), an existing :class:`numpy.random.Generator`, or ``None``
+(fresh entropy) and normalises it through :func:`ensure_rng`.  Experiments
+therefore reproduce exactly given a seed, while library users can share one
+generator across components when they need correlated streams.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .exceptions import ParameterError
 
 __all__ = ["RngLike", "ensure_rng", "spawn_seeds", "spawn_rngs"]
 
-RngLike = Union[None, int, np.random.Generator]
+RngLike = Union[None, int, Sequence[int], np.random.Generator]
 
 
 def ensure_rng(rng: RngLike = None) -> np.random.Generator:
@@ -26,8 +26,11 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     Parameters
     ----------
     rng:
-        ``None`` for fresh OS entropy, an ``int`` seed, or an existing
-        generator (returned unchanged).
+        ``None`` for fresh OS entropy, an ``int`` seed, a list or tuple of
+        ``int`` seeds (hashed together, as ``np.random.default_rng`` does),
+        or an existing generator (returned unchanged).  A seed list lets a
+        caller name a stream without paying for the generator until it
+        draws from it.
     """
     if rng is None:
         # The documented None -> fresh-entropy opt-in; experiment paths
@@ -37,8 +40,13 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
         return rng
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng))
+    if isinstance(rng, (list, tuple)) and all(
+        isinstance(part, (int, np.integer)) for part in rng
+    ):
+        return np.random.default_rng([int(part) for part in rng])
     raise TypeError(
-        f"rng must be None, an int seed, or a numpy Generator, got {type(rng)!r}"
+        "rng must be None, an int seed, a list of int seeds, or a numpy "
+        f"Generator, got {type(rng)!r}"
     )
 
 

@@ -59,8 +59,8 @@ Four subcommands expose the library to shell users:
     ``--rules`` selection, ``--baseline`` diffing and ``--list-rules``.
 
 ``serve``
-    Statistics-as-a-service (:mod:`repro.serve`): run the asyncio
-    JSON-lines TCP server over synthetic tables (``--table
+    Statistics-as-a-service (:mod:`repro.serve`): run the JSON-lines
+    TCP server (one thread per connection) over synthetic tables (``--table
     NAME=DATASET:N``, repeatable), or drive the deterministic closed-loop
     load generator against an in-process server (``--loadgen``) or a
     running one (``--connect HOST:PORT``).  The loadgen's logical summary
@@ -403,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="statistics server (asyncio TCP) and deterministic loadgen",
+        help="statistics server (JSON lines over TCP) and deterministic "
+             "loadgen",
     )
     serve.add_argument(
         "--table", action="append", metavar="NAME=DATASET:N",

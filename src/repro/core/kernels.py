@@ -175,29 +175,19 @@ def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Merge two **sorted** arrays into one sorted array.
 
     The CVB accumulation step (Section 7.1, extension 2): the accumulated
-    sample and the fresh sorted increment merge without re-sorting the
-    union.  When either side is empty the other is returned as-is.
+    sample and the fresh sorted increment become one sorted sample.  When
+    either side is empty the other is returned as-is.
 
-    Both runs scatter to their final ranks in one pass: ``a[i]`` lands at
-    ``searchsorted(b, a[i], left) + i`` and ``b[j]`` at
-    ``searchsorted(a, b[j], right) + j``; the side choice puts ``a``'s
-    copies of a tied value first, matching a stable sort of ``[a, b]``,
-    and makes the two index sets disjoint.
+    A stable sort of ``[a, b]`` keeps ``a``'s copies of a tied value
+    first, as a merge does.  For float64 and int64 NumPy's stable sort is
+    timsort, which finds the two presorted runs and merges them in linear
+    time.
     """
     if a.size == 0:
         return b
     if b.size == 0:
         return a
-    out = np.empty(a.size + b.size, dtype=np.result_type(a, b))
-    rank_a = np.searchsorted(b, a, side="left") + np.arange(
-        a.size, dtype=np.int64
-    )
-    rank_b = np.searchsorted(a, b, side="right") + np.arange(
-        b.size, dtype=np.int64
-    )
-    out[rank_a] = a
-    out[rank_b] = b
-    return out
+    return np.sort(np.concatenate((a, b)), kind="stable")
 
 
 def ensure_sorted(values: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
 
 from ..exceptions import ParameterError
 from .frequency import FrequencyProfile
@@ -263,6 +262,8 @@ class GoodmanEstimator(DistinctValueEstimator):
 
     def estimate(self, profile: FrequencyProfile, n: int) -> float:
         """Goodman's unbiased (but unstable) estimate."""
+        from scipy import special  # lazily: scipy would dominate import time
+
         _check_inputs(profile, n)
         r = profile.sample_size
         if r >= n:
@@ -363,6 +364,8 @@ class HybridEstimator(DistinctValueEstimator):
 
     def looks_uniform(self, profile: FrequencyProfile) -> bool:
         """Chi-squared test of 'all sampled values equally likely'."""
+        from scipy import stats  # lazily: scipy would dominate import time
+
         d = profile.distinct_in_sample
         r = profile.sample_size
         if d < 2 or r <= d:

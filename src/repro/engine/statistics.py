@@ -25,7 +25,7 @@ from ..core import bounds
 from ..core.adaptive import CVBConfig, CVBResult, CVBSampler
 from ..core.compressed import CompressedHistogram
 from ..core.histogram import EquiHeightHistogram
-from ..exceptions import ParameterError
+from ..exceptions import BuildAbortedError, ParameterError
 from ..distinct.estimators import DistinctValueEstimator, GEEEstimator
 from ..distinct.frequency import FrequencyProfile
 from ..obs import metrics as _metrics

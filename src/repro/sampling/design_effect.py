@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from .._rng import RngLike
 from ..core import bounds
@@ -59,6 +58,8 @@ def intraclass_correlation(pages: list[np.ndarray]) -> float:
     pooled = np.concatenate(pages)
     if pooled.size < 3:
         raise EmptyDataError("too few values to estimate correlation")
+    from scipy import stats  # lazily: scipy would dominate import time
+
     # Midranks: tied values MUST share one rank — positional tie-breaking
     # would hand duplicates page-ordered ranks and fabricate correlation on
     # heavily duplicated (Zipf) columns.

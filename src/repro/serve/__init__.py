@@ -13,7 +13,7 @@ multi-tenant statistics server:
   wait queue and load shedding into degraded-mode serving.
 - :mod:`repro.serve.protocol` — the JSON request/response surface.
 - :mod:`repro.serve.server` — the server core (synchronous ``handle``)
-  plus an asyncio JSON-lines-over-TCP front end.
+  plus a JSON-lines-over-TCP front end with one thread per connection.
 - :mod:`repro.serve.loadgen` — a deterministic closed-loop load generator
   whose logical summary is bit-identical across runs and client counts.
 - :mod:`repro.serve.telemetry` — optional live runtime telemetry

@@ -12,10 +12,12 @@ implements the classic three-state policy:
   (last-known-good statistics via :meth:`repro.serve.cache.StatsCache.peek`
   and :func:`repro.engine.resilience.mark_degraded` semantics).
 
-The controller is plain ``threading`` — the asyncio front end runs builds
-in worker threads (``asyncio.to_thread``), so one implementation serves
-both the TCP server and in-process load generators.  Decision counters are
-plain integers; under a sequential workload they are fully deterministic.
+The controller is plain ``threading`` — the TCP front end answers each
+connection on its own thread, so one implementation serves both the TCP
+server and in-process load generators.  The front end puts no cap of its
+own on concurrent requests, so this controller alone bounds how many
+explicit and cold builds run at once.  Decision counters are plain
+integers; under a sequential workload they are fully deterministic.
 """
 
 from __future__ import annotations

@@ -49,13 +49,29 @@ class EndpointSpec:
     help: str
 
 
+_NUMERIC = (int, float)
+
 #: Optional-field declarations, keyed by endpoint name.
 OPTIONAL_FIELDS: dict[str, dict] = {
     "analyze": {"params": dict},
     "watch": {"cursor": int},
 }
 
-_NUMERIC = (int, float)
+#: The build parameters an ``analyze`` request may set in ``params``, and
+#: their accepted types; they reach ``StatisticsManager.analyze`` as
+#: keyword arguments.
+BUILD_PARAMS: dict[str, object] = {
+    "k": int,
+    "record_sample_size": int,
+    "min_validation_tuples": int,
+    "f": _NUMERIC,
+    "gamma": _NUMERIC,
+    "max_sampled_fraction": _NUMERIC,
+    "method": str,
+    "layout": str,
+    "validation": str,
+    "metric": str,
+}
 
 #: Every request endpoint the server answers, keyed by op name.
 ENDPOINTS: dict[str, EndpointSpec] = {
@@ -73,8 +89,9 @@ ENDPOINTS: dict[str, EndpointSpec] = {
         EndpointSpec(
             "analyze", {"table": str, "column": str},
             "Build (or rebuild) statistics for one column via the "
-            "admission-controlled ANALYZE path; optional `params` forwards "
-            "build parameters (k, f, gamma, method, ...).",
+            "admission-controlled ANALYZE path; optional `params` sets "
+            "declared build parameters (k, f, gamma, method, ...; see "
+            "BUILD_PARAMS).",
         ),
         EndpointSpec(
             "estimate_range", {"table": str, "column": str,
@@ -164,6 +181,14 @@ def validate_request(request: object) -> tuple[str, dict]:
         raise ProtocolError(
             f"op {op!r} got unexpected fields: {', '.join(unknown)}"
         )
+    for name, value in fields.get("params", {}).items():
+        if name not in BUILD_PARAMS:
+            known = ", ".join(sorted(BUILD_PARAMS))
+            raise ProtocolError(
+                f"op {op!r} got unknown build parameter {name!r}; "
+                f"expected one of: {known}"
+            )
+        _checked(op, f"params.{name}", value, BUILD_PARAMS[name])
     return op, fields
 
 

@@ -1,11 +1,12 @@
-"""The statistics server: synchronous core + asyncio JSON-lines front end.
+"""The statistics server: synchronous core + threaded JSON-lines front end.
 
 :class:`StatsServer` is the transport-free core — ``handle(request)``
 takes one protocol request (a dict) and returns one response (a dict).
 In-process callers (the load generator, the bench scenarios, tests) call
-it directly from any number of threads; the asyncio front end
-(:func:`serve_forever`) wraps it in a JSON-lines-over-TCP loop, running
-handlers in worker threads so a slow ANALYZE never stalls the event loop.
+it directly from any number of threads; the TCP front end
+(:func:`serve_forever`) gives each connection its own thread, which reads
+a request line, calls ``handle`` and writes the answer, so a slow ANALYZE
+blocks only the connection that asked for it.
 
 Determinism: every ANALYZE executed by the server draws its RNG from
 ``(server seed, table name, column name, build number)`` — *not* from
@@ -20,15 +21,14 @@ answers from the last-known-good bundle (cache or catalog) flagged
 
 from __future__ import annotations
 
-import asyncio
 import json
+import selectors
+import socket
 import threading
 import time
 import zlib
 
-import numpy as np
-
-from ..durability import CatalogStore
+from ..durability import CatalogStore, atomic_write_text
 from ..engine.maintenance import AutoStatistics, RefreshPolicy
 from ..engine.statistics import ColumnStatistics, StatisticsManager
 from ..engine.table import Table
@@ -149,26 +149,26 @@ class StatsServer:
         return table
 
     # ------------------------------------------------------------------
-    # Deterministic build RNG
+    # Deterministic build seed
     # ------------------------------------------------------------------
 
-    def _build_rng(self, table_name: str, column_name: str) -> np.random.Generator:
-        """RNG for the *next* build of one column.
+    def _build_seed(self, table_name: str, column_name: str) -> list[int]:
+        """Seed of the RNG for the *next* build of one column.
 
-        Seeded by ``(seed, crc32(table), crc32(column), build#)`` where
-        ``build#`` is the catalog version the build will create — a pure
-        function of how many builds preceded it on this column, never of
-        which client or thread triggered it.
+        ``[seed, crc32(table), crc32(column), build#]`` where ``build#`` is
+        the catalog version the build will create — a pure function of how
+        many builds preceded it on this column, never of which client or
+        thread triggered it.  The generator itself is constructed only when
+        a build runs (:func:`repro._rng.ensure_rng`), so a cache hit pays
+        for four integers, not for seeding a generator.
         """
         version = self.auto.manager.catalog.version(table_name, column_name)
-        return np.random.default_rng(
-            [
-                self.seed,
-                zlib.crc32(table_name.encode()),
-                zlib.crc32(column_name.encode()),
-                version + 1,
-            ]
-        )
+        return [
+            self.seed,
+            zlib.crc32(table_name.encode()),
+            zlib.crc32(column_name.encode()),
+            version + 1,
+        ]
 
     # ------------------------------------------------------------------
     # Request handling
@@ -230,8 +230,10 @@ class StatsServer:
         if op == "status":
             return self.status()
         if op == "modify":
+            table = self._table(fields["table"])
+            table.column(fields["column"])  # CatalogError when unknown
             self.auto.record_modifications(
-                fields["table"], fields["column"], fields["rows"]
+                table.name, fields["column"], fields["rows"]
             )
             return {"recorded": fields["rows"]}
         if op == "analyze":
@@ -271,7 +273,7 @@ class StatsServer:
         """Run one ANALYZE while holding an admission slot."""
         with _trace.span("serve.build", table=table.name, column=column):
             return self.auto.analyze(
-                table, column, rng=self._build_rng(table.name, column),
+                table, column, rng=self._build_seed(table.name, column),
                 **params,
             )
 
@@ -306,9 +308,9 @@ class StatsServer:
 
     def _serving_entry(self, table: Table, column: str) -> CacheEntry:
         """The serving bundle, cold-building (through admission) if needed."""
-        rng = self._build_rng(table.name, column)
+        seed = self._build_seed(table.name, column)
         try:
-            return self.cache.lookup(table, column, rng=rng)
+            return self.cache.lookup(table, column, rng=seed)
         except StatisticsNotFoundError:
             pass
         with self.admission.slot() as decision:
@@ -472,58 +474,26 @@ class StatsServer:
 
 
 # ----------------------------------------------------------------------
-# asyncio front end
+# TCP front end: one thread per connection
 # ----------------------------------------------------------------------
 
+#: Listen backlog of the TCP socket.
+BACKLOG = 100
 
-async def _client_loop(
-    server: StatsServer,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    stop: asyncio.Event,
-) -> None:
-    """Serve one TCP client: JSON request per line, JSON response per line."""
-    try:
-        while True:
-            try:
-                line = await reader.readline()
-            except ValueError:  # raised by readline past LINE_LIMIT
-                writer.write(_encode({
-                    "ok": False, "op": None,
-                    "error": f"request line exceeds {LINE_LIMIT} bytes",
-                    "code": "ProtocolError",
-                }))
-                await writer.drain()
-                break
-            if not line:
-                break
-            try:
-                request = json.loads(line)
-            except ValueError:
-                response: dict = {
-                    "ok": False, "op": None,
-                    "error": "request is not valid JSON",
-                    "code": "ProtocolError",
-                }
-            else:
-                if (
-                    isinstance(request, dict)
-                    and request.get("op") == SHUTDOWN_OP
-                ):
-                    writer.write(_encode({"ok": True, "op": SHUTDOWN_OP,
-                                          "result": {"stopping": True}}))
-                    await writer.drain()
-                    stop.set()
-                    break
-                response = await asyncio.to_thread(server.handle, request)
-            writer.write(_encode(response))
-            await writer.drain()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # client vanished mid-close
-            pass
+#: Seconds shutdown waits for each connection's thread to finish the
+#: request it is answering.
+DRAIN_TIMEOUT = 60.0
+
+_NOT_JSON = {
+    "ok": False, "op": None,
+    "error": "request is not valid JSON", "code": "ProtocolError",
+}
+_TOO_LONG = {
+    "ok": False, "op": None,
+    "error": f"request line exceeds {LINE_LIMIT} bytes",
+    "code": "ProtocolError",
+}
+_STOPPING = {"ok": True, "op": SHUTDOWN_OP, "result": {"stopping": True}}
 
 
 def _encode(response: dict) -> bytes:
@@ -533,31 +503,116 @@ def _encode(response: dict) -> bytes:
     ).encode()
 
 
-async def _serve_async(
-    server: StatsServer, host: str, port: int, ready_path: str | None
-) -> None:
-    """Accept loop: runs until a shutdown op arrives."""
-    stop = asyncio.Event()
+def _listen(host: str, port: int) -> socket.socket:
+    """A listening socket on the first address *host* resolves to."""
+    family, _, _, _, address = socket.getaddrinfo(
+        host or None, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+    )[0]
+    # SO_REUSEADDR, and IPV6_V6ONLY for an IPv6 address.
+    return socket.create_server(address, family=family, backlog=BACKLOG)
 
-    async def _on_connect(reader, writer):
-        """Spawn the per-client loop for one accepted connection."""
-        await _client_loop(server, reader, writer, stop)
 
-    tcp = await asyncio.start_server(
-        _on_connect, host=host, port=port, limit=LINE_LIMIT
-    )
-    bound = tcp.sockets[0].getsockname()
-    announce = f"SERVE_READY {bound[0]} {bound[1]}"
-    print(announce, flush=True)
-    if ready_path is not None:
-        from ..durability import atomic_write_text
+class _FrontEnd:
+    """The accept loop and one thread per accepted connection.
 
-        # fsync + rename off the event loop: a slow disk must not stall
-        # the accept loop while clients are already connecting.
-        await asyncio.to_thread(atomic_write_text, ready_path, announce + "\n")
-    async with tcp:
-        await stop.wait()
-    await asyncio.to_thread(server.checkpoint)
+    Each connection's thread reads a request line, calls
+    :meth:`StatsServer.handle` itself and writes the answer, so a slow
+    build blocks only its own connection.  The shutdown op sets
+    :attr:`stopped`; :meth:`close` then drains the connections.
+    """
+
+    def __init__(self, server: StatsServer, host: str, port: int):
+        """Bind, listen, and start the accept loop on its own thread."""
+        self.server = server
+        self.listener = _listen(host, port)
+        self.listener.setblocking(False)
+        self.stopped = threading.Event()
+        self._wake, self._waker = socket.socketpair()
+        self._lock = threading.Lock()
+        self._threads: dict[socket.socket, threading.Thread] = {}
+        self._accept = threading.Thread(
+            target=self._accept_loop, name="repro-serve-accept", daemon=True
+        )
+        self._accept.start()
+
+    def _accept_loop(self) -> None:
+        """Accept connections until :meth:`close` wakes the loop."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.listener, selectors.EVENT_READ)
+            selector.register(self._wake, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wake in ready:
+                    return
+                try:
+                    conn, _ = self.listener.accept()
+                except OSError:  # the client left before it was accepted
+                    continue
+                conn.setblocking(True)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                thread = threading.Thread(
+                    target=self._serve_connection, args=(conn,),
+                    name="repro-serve-conn", daemon=True,
+                )
+                with self._lock:
+                    self._threads[conn] = thread
+                thread.start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """Answer one client's request lines in order until it leaves."""
+        try:
+            with conn.makefile("rb") as reader:
+                while not self.stopped.is_set():
+                    line = reader.readline(LINE_LIMIT + 1)
+                    if not line:
+                        break
+                    if len(line) > LINE_LIMIT and not line.endswith(b"\n"):
+                        conn.sendall(_encode(_TOO_LONG))
+                        break
+                    response = self._answer(line)
+                    conn.sendall(_encode(response))
+                    if response is _STOPPING:
+                        self.stopped.set()
+                        break
+        except OSError:  # the client vanished mid-request
+            pass
+        finally:
+            with self._lock:
+                del self._threads[conn]
+            conn.close()
+
+    def _answer(self, line: bytes) -> dict:
+        """The response to one request line."""
+        try:
+            request = json.loads(line)
+        except (ValueError, RecursionError):  # RecursionError: deep nesting
+            return _NOT_JSON
+        if isinstance(request, dict) and request.get("op") == SHUTDOWN_OP:
+            return _STOPPING
+        return self.server.handle(request)
+
+    def close(self) -> None:
+        """Stop accepting, end idle connections, await in-flight answers.
+
+        ``shutdown(SHUT_RD)`` wakes a thread waiting for its next request
+        line with end-of-file; a thread inside ``handle`` still writes its
+        answer, then reads no further.
+        """
+        self._waker.send(b"\0")
+        self._accept.join()
+        self.listener.close()
+        with self._lock:
+            self.stopped.set()
+            threads = list(self._threads.items())
+            for conn, _ in threads:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer already reset the connection
+                    pass
+        for _, thread in threads:
+            thread.join(DRAIN_TIMEOUT)
+        self._wake.close()
+        self._waker.close()
 
 
 def serve_forever(
@@ -568,8 +623,20 @@ def serve_forever(
 ) -> None:
     """Run the TCP front end until a client sends the shutdown op.
 
-    ``port=0`` binds an ephemeral port; the bound address is printed as
-    ``SERVE_READY <host> <port>`` (and written to *ready_path*, atomically,
-    when given) so scripts can discover it.
+    ``port=0`` binds an ephemeral port; once the accept loop runs, the
+    bound address is printed as ``SERVE_READY <host> <port>`` (and written
+    to *ready_path*, atomically, when given) so scripts can discover it.
+    On shutdown the server stops accepting, lets in-flight requests
+    answer, closes idle connections, and checkpoints its store.
     """
-    asyncio.run(_serve_async(server, host, port, ready_path))
+    front = _FrontEnd(server, host, port)
+    try:
+        bound = front.listener.getsockname()
+        announce = f"SERVE_READY {bound[0]} {bound[1]}"
+        print(announce, flush=True)
+        if ready_path is not None:
+            atomic_write_text(ready_path, announce + "\n")
+        front.stopped.wait()
+    finally:
+        front.close()
+    server.checkpoint()

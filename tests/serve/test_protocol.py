@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.serve import ENDPOINTS, ProtocolError, validate_request
-from repro.serve.protocol import OPTIONAL_FIELDS, SHUTDOWN_OP
+from repro.serve.protocol import BUILD_PARAMS, OPTIONAL_FIELDS, SHUTDOWN_OP
 
 
 class TestValidRequests:
@@ -29,6 +29,14 @@ class TestValidRequests:
         )
         assert op == "analyze"
         assert fields["params"] == {"k": 32}
+
+    def test_every_build_param_accepted(self):
+        samples = {int: 3, str: "cvb", (int, float): 0.25}
+        params = {name: samples[types] for name, types in BUILD_PARAMS.items()}
+        _, fields = validate_request(
+            {"op": "analyze", "table": "t", "column": "x", "params": params}
+        )
+        assert fields["params"] == params
 
     def test_optional_params_omittable(self):
         _, fields = validate_request(
@@ -90,6 +98,27 @@ class TestRejection:
         with pytest.raises(ProtocolError, match="wrong type"):
             validate_request({"op": "analyze", "table": "t", "column": "x",
                               "params": [1, 2]})
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"bogus": 1}, "unknown build parameter"),
+            ({"rng": 5}, "unknown build parameter"),
+            ({"heapfile": None}, "unknown build parameter"),
+            ({"k": "abc"}, "wrong type"),
+            ({"k": 2.5}, "wrong type"),
+            ({"k": True}, "wrong type"),
+            ({"f": "x"}, "wrong type"),
+            ({"gamma": None}, "wrong type"),
+            ({"method": 1}, "wrong type"),
+            ({"f": math.nan}, "must be finite"),
+            ({"max_sampled_fraction": math.inf}, "must be finite"),
+        ],
+    )
+    def test_bad_build_params_rejected(self, params, match):
+        with pytest.raises(ProtocolError, match=match):
+            validate_request({"op": "analyze", "table": "t", "column": "x",
+                              "params": params})
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ProtocolError, match="unexpected fields"):

@@ -5,14 +5,15 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from repro.durability import CatalogStore
 from repro.engine import Table
 from repro.engine.maintenance import RefreshPolicy
 from repro.serve import AdmissionController, StatsServer, serve_forever
+from repro.serve import server as server_module
 from repro.serve.protocol import SHUTDOWN_OP
 from repro.serve.server import LINE_LIMIT
 
@@ -98,6 +99,39 @@ class TestEndpoints:
         assert status["columns"] == {"t": ["x"]}
         assert status["durable"] is False
 
+    def test_modify_unknown_names_get_error_envelopes(self):
+        server = _server()
+        table = server.handle(
+            {"op": "modify", "table": "nope", "column": "x", "rows": 1}
+        )
+        assert not table["ok"]
+        assert table["code"] == "StatisticsNotFoundError"
+        column = server.handle(
+            {"op": "modify", "table": "t", "column": "nope", "rows": 1}
+        )
+        assert not column["ok"]
+        assert column["code"] == "CatalogError"
+        assert server.auto.modifications.since_refresh("t", "nope") == 0
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"bogus": 1}, {"k": "abc"}, {"f": "x"}, {"rng": 5}, {"k": 2.5}],
+    )
+    def test_bad_analyze_params_get_protocol_error(self, params):
+        response = _server().handle(
+            {"op": "analyze", "table": "t", "column": "x", "params": params}
+        )
+        assert not response["ok"]
+        assert response["code"] == "ProtocolError"
+
+    def test_record_build_of_empty_sample_is_an_error_envelope(self):
+        response = _server().handle(
+            {"op": "analyze", "table": "t", "column": "x",
+             "params": {"method": "record", "record_sample_size": 0}}
+        )
+        assert not response["ok"]
+        assert response["code"] == "BuildAbortedError"
+
     def test_error_envelope(self):
         response = _server().handle(
             {"op": "estimate_distinct", "table": "nope", "column": "x"}
@@ -141,6 +175,31 @@ class TestDeterminism:
             {"op": "estimate_distinct", "table": "t", "column": "x"}
         ))
         assert second_a == second_b
+
+
+class TestLazyBuildRng:
+    def test_only_a_rebuild_constructs_a_generator(self, monkeypatch):
+        server = _server()
+        _ok(server.handle({"op": "analyze", "table": "t", "column": "x"}))
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        read = {"op": "estimate_range", "table": "t", "column": "x",
+                "lo": 0.0, "hi": 100.0}
+        for _ in range(100):
+            assert _ok(server.handle(read))["version"] == 1
+        assert made == []
+        # 5000 of 20000 rows is past the 20% staleness threshold.
+        _ok(server.handle(
+            {"op": "modify", "table": "t", "column": "x", "rows": 5_000}
+        ))
+        assert _ok(server.handle(read))["version"] == 2
+        assert len(made) == 1
 
 
 class TestDegradedMode:
@@ -197,32 +256,67 @@ class TestWarmStart:
         assert _ok(warm.handle({"op": "status"}))["durable"] is True
 
 
-def _serve_in_thread(tmp_path):
-    """Start the TCP front end on an ephemeral port; (thread, host, port)."""
-    ready = tmp_path / "ready"
+def _serve_in_thread(server, tmp_path, monkeypatch, hold=None,
+                     host="127.0.0.1"):
+    """Run ``serve_forever`` in a thread; ``(thread, host, port)`` once it
+    has announced itself.
+
+    The ready-file write sets an event rather than being polled for; with
+    *hold*, that write then waits for *hold* to be set.
+    """
+    announced = threading.Event()
+    written = []
+    write = server_module.atomic_write_text
+
+    def announcing(path, text):
+        written.append(text)
+        announced.set()
+        if hold is not None:
+            hold.wait(30.0)
+        write(path, text)
+
+    monkeypatch.setattr(server_module, "atomic_write_text", announcing)
     thread = threading.Thread(
         target=serve_forever,
-        kwargs={"server": _server(seed=5), "ready_path": str(ready)},
+        kwargs={"server": server, "host": host,
+                "ready_path": str(tmp_path / "ready")},
         daemon=True,
     )
     thread.start()
-    deadline = time.monotonic() + 10.0
-    while not ready.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    token = ready.read_text().split()
-    assert token[0] == "SERVE_READY"
-    return thread, token[1], int(token[2])
+    assert announced.wait(10.0)
+    _, host, port = written[0].split()
+    return thread, host, int(port)
+
+
+def _connect(host, port):
+    """A client connection and its binary stream."""
+    sock = socket.create_connection((host, port), timeout=10.0)
+    return sock, sock.makefile("rwb")
+
+
+def _send(stream, payload):
+    stream.write((json.dumps(payload) + "\n").encode())
+    stream.flush()
 
 
 def _roundtrip(stream, payload):
-    stream.write((json.dumps(payload) + "\n").encode())
-    stream.flush()
+    _send(stream, payload)
     return json.loads(stream.readline())
 
 
+def _shutdown(host, port):
+    sock, stream = _connect(host, port)
+    with sock:
+        assert _ok(_roundtrip(stream, {"op": SHUTDOWN_OP})) == {
+            "stopping": True
+        }
+
+
 class TestTcpFrontEnd:
-    def test_json_lines_round_trip_and_shutdown(self, tmp_path):
-        thread, host, port = _serve_in_thread(tmp_path)
+    def test_json_lines_round_trip_and_shutdown(self, tmp_path, monkeypatch):
+        thread, host, port = _serve_in_thread(
+            _server(seed=5), tmp_path, monkeypatch
+        )
 
         with socket.create_connection((host, port), timeout=5.0) as sock:
             stream = sock.makefile("rwb")
@@ -241,8 +335,10 @@ class TestTcpFrontEnd:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
 
-    def test_oversized_line_gets_envelope_and_close(self, tmp_path):
-        thread, host, port = _serve_in_thread(tmp_path)
+    def test_oversized_line_gets_envelope_and_close(self, tmp_path, monkeypatch):
+        thread, host, port = _serve_in_thread(
+            _server(seed=5), tmp_path, monkeypatch
+        )
         request = {
             "op": "estimate_range", "table": "t" * (LINE_LIMIT + 4_000),
             "column": "x", "lo": 0.0, "hi": 1.0,
@@ -263,5 +359,176 @@ class TestTcpFrontEnd:
             stream = sock.makefile("rwb")
             assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
             _roundtrip(stream, {"op": SHUTDOWN_OP})
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_rejected_params_keep_the_connection(self, tmp_path, monkeypatch):
+        thread, host, port = _serve_in_thread(
+            _server(seed=5), tmp_path, monkeypatch
+        )
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            stream = sock.makefile("rwb")
+            for params in ({"bogus": 1}, {"k": "abc"}, {"rng": 5}):
+                rejected = _roundtrip(stream, {
+                    "op": "analyze", "table": "t", "column": "x",
+                    "params": params,
+                })
+                assert rejected["code"] == "ProtocolError"
+                assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+            stream.write(b"[" * 50_000 + b"\n")  # nested past the recursion limit
+            stream.flush()
+            deep = json.loads(stream.readline())
+            assert deep["error"] == "request is not valid JSON"
+            assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+            _roundtrip(stream, {"op": SHUTDOWN_OP})
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_accepted_sockets_disable_nagle(self, tmp_path, monkeypatch):
+        accepted = []
+        accept = socket.socket.accept
+
+        def recording(self):
+            conn, address = accept(self)
+            accepted.append(conn)
+            return conn, address
+
+        monkeypatch.setattr(socket.socket, "accept", recording)
+        thread, host, port = _serve_in_thread(
+            _server(seed=5), tmp_path, monkeypatch
+        )
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            stream = sock.makefile("rwb")
+            assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+            [conn] = accepted
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            _roundtrip(stream, {"op": SHUTDOWN_OP})
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# One thread per connection: behaviour under held builds and shutdown.
+# Every wait below is on a threading.Event or a socket read, never a sleep.
+# ----------------------------------------------------------------------
+
+
+def _hold_builds(server):
+    """Make each build on *server* wait at its ``AutoStatistics.analyze`` call.
+
+    Returns ``(entered, release)``: *entered* is set once a build is held;
+    setting *release* lets every held build run.
+    """
+    entered, release = threading.Event(), threading.Event()
+    analyze = server.auto.analyze
+
+    def held(*args, **kwargs):
+        entered.set()
+        release.wait(30.0)
+        return analyze(*args, **kwargs)
+
+    server.auto.analyze = held
+    return entered, release
+
+
+class TestConnectionThreads:
+    def test_held_build_blocks_only_its_own_connection(
+        self, tmp_path, monkeypatch
+    ):
+        server = _server(seed=5)
+        server.add_table(Table("u", {"y": np.arange(5_000)}))
+        _ok(server.handle({"op": "analyze", "table": "t", "column": "x"}))
+        entered, release = _hold_builds(server)
+        thread, host, port = _serve_in_thread(server, tmp_path, monkeypatch)
+        building_sock, building = _connect(host, port)
+        other_sock, other = _connect(host, port)
+        with building_sock, other_sock:
+            _send(building, {"op": "analyze", "table": "u", "column": "y"})
+            assert entered.wait(10.0)
+            assert _ok(_roundtrip(other, {"op": "ping"})) == {"pong": True}
+            hit = _ok(_roundtrip(other, {
+                "op": "estimate_range", "table": "t", "column": "x",
+                "lo": 0.0, "hi": 9_999.0,
+            }))
+            assert hit["version"] == 1
+            assert not release.is_set()
+            release.set()
+            assert _ok(json.loads(building.readline()))["version"] == 1
+        _shutdown(host, port)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_clients_are_answered_while_the_ready_file_is_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        hold = threading.Event()
+        thread, _, _ = _serve_in_thread(
+            _server(), tmp_path, monkeypatch, hold=hold
+        )
+        printed = capsys.readouterr().out.split()
+        assert printed[0] == "SERVE_READY"
+        host, port = printed[1], int(printed[2])
+        sock, stream = _connect(host, port)
+        with sock:
+            assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+        assert not (tmp_path / "ready").exists()
+        hold.set()
+        _shutdown(host, port)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert (tmp_path / "ready").read_text().split() == printed
+
+    def test_shutdown_answers_in_flight_build_and_closes_idle(
+        self, tmp_path, monkeypatch
+    ):
+        store = str(tmp_path / "store")
+        server = _server(seed=5, store=store)
+        entered, release = _hold_builds(server)
+        versions_at_checkpoint = []
+        checkpoint = server.checkpoint
+
+        def recording_checkpoint():
+            versions_at_checkpoint.append(
+                server.auto.manager.catalog.version("t", "x")
+            )
+            checkpoint()
+
+        server.checkpoint = recording_checkpoint
+        thread, host, port = _serve_in_thread(server, tmp_path, monkeypatch)
+        idle_sock, idle = _connect(host, port)
+        busy_sock, busy = _connect(host, port)
+        with idle_sock, busy_sock:
+            assert _ok(_roundtrip(idle, {"op": "ping"})) == {"pong": True}
+            _send(busy, {"op": "analyze", "table": "t", "column": "x"})
+            assert entered.wait(10.0)
+            _shutdown(host, port)
+            # The idle connection closes while the build is still held.
+            assert idle.readline() == b""
+            assert thread.is_alive()
+            release.set()
+            assert _ok(json.loads(busy.readline()))["version"] == 1
+            assert busy.readline() == b""
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert versions_at_checkpoint == [1]  # checkpointed after the build
+
+        reopened = _server(seed=5, store=CatalogStore(store))
+        served = _ok(reopened.handle({
+            "op": "estimate_range", "table": "t", "column": "x",
+            "lo": 0.0, "hi": 9_999.0,
+        }))
+        assert served["version"] == 1
+        assert reopened.admission.counters()["admitted"] == 0
+
+    def test_ipv6_literal_binds(self, tmp_path, monkeypatch):
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        thread, host, port = _serve_in_thread(
+            _server(), tmp_path, monkeypatch, host="::1"
+        )
+        assert host == "::1"
+        _shutdown(host, port)
         thread.join(timeout=10.0)
         assert not thread.is_alive()

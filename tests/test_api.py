@@ -1,6 +1,10 @@
 """Public-API surface tests: exports resolve, version exists, no drift."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -85,6 +89,18 @@ class TestRngHelpers:
 
         with pytest.raises(TypeError):
             ensure_rng("seed")
+        with pytest.raises(TypeError):
+            ensure_rng([1, "2"])
+
+    def test_seed_list_builds_the_default_rng_generator(self):
+        import numpy as np
+
+        from repro import ensure_rng
+
+        seed = [7, 2_849_032_011, 305_419_896, 3]
+        want = np.random.default_rng(seed).integers(0, 10**9, 8)
+        assert (ensure_rng(seed).integers(0, 10**9, 8) == want).all()
+        assert (ensure_rng(tuple(seed)).integers(0, 10**9, 8) == want).all()
 
     def test_seeded_rngs_reproduce(self):
         from repro import ensure_rng
@@ -108,3 +124,20 @@ class TestRngHelpers:
 
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
+
+
+class TestStartUp:
+    def test_entry_points_do_not_import_scipy(self):
+        """scipy serves three rarely used estimators and would dominate start-up."""
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.serve, repro.experiments.figures\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
