@@ -41,11 +41,13 @@ Four subcommands expose the library to shell users:
 
 ``bench``
     Deterministic benchmark harness (:mod:`repro.obs.bench`): run the
-    scenario registry, write a schema-versioned ``BENCH_*.json`` report,
-    optionally ``--compare`` against a baseline (logical costs exact,
-    wall-clock threshold-gated), ``--update-baseline``, or ``--profile``
-    each scenario through :mod:`cProfile`.  Exits 3 when a logical cost
-    drifts or a scenario's declared wall gate fails.
+    scenario registry, optionally write the schema-versioned report to
+    ``--out``, ``--compare`` its logical costs exactly against a baseline,
+    ``--update-baseline`` (logical sections only), or ``--profile`` each
+    scenario through :mod:`cProfile`.  Exits 3 when a logical cost drifts
+    or a scenario's declared wall gate fails.  Wall-clock is never
+    compared across runs; cross-commit timing claims go through the
+    end-to-end benchmark in ``benchmarks/e2e``.
 
 ``lint``
     Determinism & invariant static analysis (:mod:`repro.lint`): run the
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out", metavar="FILE",
-        help="report path (default BENCH_<YYYYMMDD>_<shortsha>.json)",
+        help="write the report to FILE (default: print the summary only)",
     )
     bench.add_argument(
         "--compare", metavar="BASELINE",
@@ -335,13 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
              "cost drifts",
     )
     bench.add_argument(
-        "--wall-tolerance", type=float, default=None, metavar="RATIO",
-        help="with --compare, also fail when a scenario's wall-clock "
-             "median exceeds RATIO x the baseline (default: report only)",
-    )
-    bench.add_argument(
         "--update-baseline", action="store_true",
-        help="also write the report to benchmarks/baseline.json",
+        help="write the report's logical sections to "
+             "benchmarks/baseline.json",
     )
     bench.add_argument(
         "--profile", metavar="DIR",
@@ -872,13 +870,6 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.wall_tolerance is not None and args.wall_tolerance <= 0:
-        print(
-            f"error: --wall-tolerance must be positive, "
-            f"got {args.wall_tolerance}",
-            file=sys.stderr,
-        )
-        return 2
 
     from .obs import bench
 
@@ -907,9 +898,9 @@ def _bench_run(args, bench) -> int:
     )
     print(bench.format_report(report))
 
-    out = args.out or bench.default_report_name()
-    bench.write_report(report, out)
-    print(f"bench report written to {out}", file=sys.stderr)
+    if args.out:
+        bench.write_report(report, args.out)
+        print(f"bench report written to {args.out}", file=sys.stderr)
     if args.profile:
         print(
             f"profiles written to {args.profile}/<scenario>.pstats",
@@ -917,7 +908,7 @@ def _bench_run(args, bench) -> int:
         )
     if args.update_baseline:
         baseline_path = "benchmarks/baseline.json"
-        bench.write_report(report, baseline_path)
+        bench.write_report(bench.baseline_of(report), baseline_path)
         print(f"baseline updated at {baseline_path}", file=sys.stderr)
 
     status = 0
@@ -930,9 +921,7 @@ def _bench_run(args, bench) -> int:
     if args.compare:
         with open(args.compare) as handle:
             baseline = json.load(handle)
-        failures, notes = bench.compare_reports(
-            report, baseline, wall_tolerance=args.wall_tolerance
-        )
+        failures, notes = bench.compare_reports(report, baseline)
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
         if failures:

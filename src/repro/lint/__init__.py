@@ -11,7 +11,7 @@ under ``src/repro`` (plus the repo's Markdown docs) and applies a
 project-specific rule set (:mod:`repro.lint.rules`,
 :mod:`repro.lint.docrules`), while the whole-program flow layer
 (:mod:`repro.lint.symbols` → :mod:`repro.lint.callgraph` →
-:mod:`repro.lint.flowrules`) tracks seed provenance and asyncio races
+:mod:`repro.lint.flowrules`) tracks seed provenance and lock balance
 across module boundaries.
 
 Entry points

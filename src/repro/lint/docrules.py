@@ -1,10 +1,9 @@
-"""Documentation rules folded in from the old standalone tools.
+"""Documentation rules: docstring coverage, relative links, API drift.
 
-``tools/check_docstrings.py`` and ``tools/check_links.py`` predate the
-lint engine; their logic now lives here as DOC001/DOC002 so one driver
-(`python -m repro lint`) covers code and docs alike, and the old scripts
-are thin shims that delegate to these rules (their CLI exit-status
-contract — number of violations, 0 = clean — is preserved).
+DOC001 (public names carry docstrings), DOC002 (relative Markdown links
+resolve) and DOC003 (docs/API.md matches the live docstrings) run in the
+same driver as the code rules, so ``python -m repro lint`` covers code
+and docs alike.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Whole-program flow rules: seed provenance and asyncio races.
+"""Whole-program flow rules: seed provenance and lock balance.
 
 These rules run over the :class:`ProjectModel` — symbol table plus call
 graph (see :mod:`repro.lint.symbols` / :mod:`repro.lint.callgraph`) —
@@ -21,27 +21,20 @@ can prove provenance.  When the seeds argument is a function
 parameter, the call graph supplies the callers and their argument
 taint is checked one level up (findings land at the caller).
 
-CON1xx — asyncio shared-state model
------------------------------------
+CON1xx — lock discipline
+------------------------
 
-``async def`` bodies are split into *await segments*: segment *k* is
-the code after the *k*-th ``await`` expression.  The scheduler may
-interleave other tasks at every await, so an attribute of a shared
-object (``self`` or a parameter) written in one segment and read in
-another without consistently holding a lock is a race (CON101).
-Blocking synchronous calls — ``time.sleep``, sync file I/O, and any
-project function whose call-graph closure reaches one — stall the
-event loop (CON102).  Lock ``acquire()`` without a matching
-``release()`` in the same function leaks the lock on error paths
-(CON103).
+The statistics server answers each connection on its own thread, and
+its admission, cache and catalog state is shared behind locks.  A lock
+``acquire()`` without a matching ``release()`` in the same function
+leaks the lock on error paths (CON103).
 """
 
 from __future__ import annotations
 
 import ast
-import bisect
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import Finding, LintContext, Rule, register
@@ -61,8 +54,6 @@ __all__ = [
     "AmbientRngRule",
     "NonSpawnedSeedsRule",
     "GeneratorBoundaryRule",
-    "AwaitRaceRule",
-    "BlockingAsyncRule",
     "LockBalanceRule",
 ]
 
@@ -223,21 +214,7 @@ class _TaintScope:
 # project model
 # ----------------------------------------------------------------------
 
-#: resolved external calls that block the calling thread.
-_BLOCKING_CALLS = frozenset({
-    "time.sleep", "open", "io.open",
-    "os.fsync", "os.replace", "os.rename", "os.remove", "os.unlink",
-    "os.makedirs", "os.mkdir", "os.rmdir",
-    "socket.create_connection", "tempfile.mkstemp",
-    "tempfile.NamedTemporaryFile",
-})
-_BLOCKING_PREFIXES = ("subprocess.", "shutil.")
-#: method names that perform sync file I/O regardless of receiver type.
-_BLOCKING_METHODS = frozenset({
-    "write_text", "read_text", "write_bytes", "read_bytes", "fsync",
-})
-
-#: lock-ish name fragments for the CON101 lock-held heuristic.
+#: lock-ish name fragments for the CON103 lock heuristic.
 _LOCKISH = ("lock", "cond", "mutex", "semaphore")
 
 
@@ -250,20 +227,6 @@ def _is_lockish(expr: ast.AST) -> bool:
         return False
     tail = name.rsplit(".", 1)[-1].lower()
     return any(frag in tail for frag in _LOCKISH)
-
-
-def _scope_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-    """Walk *fn*'s body without descending into nested function scopes."""
-    stack: list[ast.AST] = list(getattr(fn, "body", []))
-    stack.extend(getattr(fn, "finalbody", []))
-    while stack:
-        node = stack.pop(0)
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 @dataclass(frozen=True)
@@ -285,7 +248,6 @@ class ProjectModel:
     table: SymbolTable
     graph: CallGraph
     _findings: dict[str, list[_RawFinding]] | None = None
-    _blocking: dict[str, tuple[str, str]] | None = None
 
     @property
     def work_measure(self) -> dict:
@@ -310,64 +272,6 @@ class ProjectModel:
             for raw in self._findings.get(rel_path, [])
             if raw.rule == rule_id
         ]
-
-    def blocking_reason(self, qualname: str) -> tuple[str, str] | None:
-        """(primitive, via) when the sync unit *qualname* blocks."""
-        if self._blocking is None:
-            self._blocking = _blocking_closure(self)
-        return self._blocking.get(qualname)
-
-
-def _blocking_closure(model: ProjectModel) -> dict[str, tuple[str, str]]:
-    """Fixed point: sync units whose calls reach a blocking primitive."""
-    graph = model.graph
-    blocked: dict[str, tuple[str, str]] = {}
-    for qual in sorted(graph.units):
-        unit = graph.units[qual]
-        if unit.is_async:
-            continue
-        resolver = _UnitResolver(graph, unit)
-        for node in ast.walk(unit.node):
-            if isinstance(node, ast.Call):
-                prim = _direct_blocking(node, resolver)
-                if prim is not None:
-                    blocked[qual] = (prim, qual)
-                    break
-    changed = True
-    while changed:
-        changed = False
-        for qual in sorted(graph.units):
-            if qual in blocked or graph.units[qual].is_async:
-                continue
-            for edge in graph.calls_from(qual):
-                if edge.external or edge.callee not in graph.units:
-                    continue
-                if graph.units[edge.callee].is_async:
-                    continue
-                if edge.callee in blocked:
-                    blocked[qual] = (blocked[edge.callee][0], edge.callee)
-                    changed = True
-                    break
-    return blocked
-
-
-def _direct_blocking(call: ast.Call, resolver: _UnitResolver) -> str | None:
-    """The blocking primitive *call* invokes directly, if any."""
-    func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in _BLOCKING_METHODS:
-        return f".{func.attr}()"
-    resolved = resolver.resolve_call(call)
-    if resolved is None:
-        return None
-    callee, external = resolved
-    if not external:
-        return None
-    if callee in _BLOCKING_CALLS:
-        return callee
-    if any(callee.startswith(p) for p in _BLOCKING_PREFIXES):
-        return callee
-    return None
-
 
 #: process-wide project cache keyed by resolved root path.
 _PROJECT_CACHE: dict[str, tuple[tuple, ProjectModel]] = {}
@@ -417,7 +321,6 @@ def _analyze(model: ProjectModel) -> list[_RawFinding]:
         unit = model.graph.units[qual]
         findings.extend(_seed_map_calls(unit, model))
         findings.extend(_lock_balance(unit, model))
-    findings.extend(_async_rules(model))
     # run_trials dispatches through two TrialPool.map sites, so the same
     # caller can be classified twice — dedupe before sorting.
     unique = sorted(set(findings),
@@ -597,177 +500,6 @@ def _lock_balance(
             )
 
 
-@dataclass
-class _AttrAccess:
-    """One read/write of ``base.attr`` inside an async scope."""
-
-    base: str
-    attr: str
-    write: bool
-    segment: int
-    wildcard: bool
-    locked: bool
-    line: int
-    col: int
-
-
-def _async_scopes(
-    model: ProjectModel,
-) -> Iterator[tuple[ModuleSummary, ast.AsyncFunctionDef, FunctionUnit]]:
-    """Every async def in the project, with a resolver-capable unit."""
-    by_node: dict[int, FunctionUnit] = {
-        id(u.node): u for u in model.graph.units.values()
-    }
-    for module in sorted(
-        model.table.modules.values(), key=lambda m: m.rel_path
-    ):
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
-            unit = by_node.get(id(node))
-            if unit is None:
-                unit = FunctionUnit(
-                    f"{module.name}.{node.name}", module, node
-                )
-            yield module, node, unit
-
-
-def _async_rules(model: ProjectModel) -> Iterator[_RawFinding]:
-    """CON101 + CON102 over every ``async def`` scope."""
-    for module, fn, unit in _async_scopes(model):
-        awaited_calls: set[int] = set()
-        awaits: list[tuple[int, int]] = []
-        nodes = list(_scope_nodes(fn))
-        for node in nodes:
-            if isinstance(node, ast.Await):
-                awaits.append((node.lineno, node.col_offset))
-                if isinstance(node.value, ast.Call):
-                    awaited_calls.add(id(node.value))
-        awaits.sort()
-        yield from _blocking_in_async(
-            module, fn, unit, nodes, awaited_calls, model
-        )
-        if awaits:
-            yield from _await_races(module, fn, unit, nodes, awaits)
-
-
-def _blocking_in_async(
-    module: ModuleSummary,
-    fn: ast.AsyncFunctionDef,
-    unit: FunctionUnit,
-    nodes: list[ast.AST],
-    awaited_calls: set[int],
-    model: ProjectModel,
-) -> Iterator[_RawFinding]:
-    """CON102: blocking sync calls scheduled directly on the event loop."""
-    resolver = _UnitResolver(model.graph, unit)
-    for node in nodes:
-        if not isinstance(node, ast.Call) or id(node) in awaited_calls:
-            continue
-        prim = _direct_blocking(node, resolver)
-        if prim is not None:
-            yield _RawFinding(
-                "CON102", module.rel_path, node.lineno, node.col_offset,
-                f"blocking call `{prim}` inside `async def {fn.name}` "
-                "stalls the event loop; wrap it in asyncio.to_thread",
-            )
-            continue
-        resolved = resolver.resolve_call(node)
-        if resolved is None or resolved[1]:
-            continue
-        callee = resolved[0]
-        if callee in model.graph.units and model.graph.units[callee].is_async:
-            continue
-        reason = model.blocking_reason(callee)
-        if reason is not None:
-            prim, via = reason
-            detail = f" (reaches `{prim}` via `{via}`)" if via != callee \
-                else f" (calls `{prim}`)"
-            yield _RawFinding(
-                "CON102", module.rel_path, node.lineno, node.col_offset,
-                f"`{callee.rsplit('.', 1)[-1]}()` blocks{detail} inside "
-                f"`async def {fn.name}`; wrap it in asyncio.to_thread",
-            )
-
-
-def _await_races(
-    module: ModuleSummary,
-    fn: ast.AsyncFunctionDef,
-    unit: FunctionUnit,
-    nodes: list[ast.AST],
-    awaits: list[tuple[int, int]],
-) -> Iterator[_RawFinding]:
-    """CON101: shared attrs written on one side of an await, read on the
-    other, without consistently holding a lock."""
-    shared = set(unit.params) | {"self"}
-    loop_wild: set[int] = set()
-    locked_ids: set[int] = set()
-    for node in nodes:
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            has_await = any(
-                isinstance(sub, ast.Await) for sub in _scope_nodes(node)
-            ) or isinstance(node, ast.AsyncFor)
-            if has_await:
-                for sub in _scope_nodes(node):
-                    loop_wild.add(id(sub))
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            if any(_is_lockish(item.context_expr) for item in node.items):
-                for sub in _scope_nodes(node):
-                    locked_ids.add(id(sub))
-
-    accesses: list[_AttrAccess] = []
-    for node in nodes:
-        if not isinstance(node, ast.Attribute):
-            continue
-        if not isinstance(node.value, ast.Name):
-            continue
-        if node.value.id not in shared:
-            continue
-        pos = (node.lineno, node.col_offset)
-        accesses.append(
-            _AttrAccess(
-                base=node.value.id,
-                attr=node.attr,
-                write=isinstance(node.ctx, (ast.Store, ast.Del)),
-                segment=bisect.bisect_left(awaits, pos),
-                wildcard=id(node) in loop_wild,
-                locked=id(node) in locked_ids,
-                line=node.lineno,
-                col=node.col_offset,
-            )
-        )
-    by_attr: dict[tuple[str, str], list[_AttrAccess]] = {}
-    for access in accesses:
-        by_attr.setdefault((access.base, access.attr), []).append(access)
-    for (base, attr), group in sorted(by_attr.items()):
-        writes = [a for a in group if a.write]
-        if not writes:
-            continue
-        flagged = None
-        for write in writes:
-            for other in group:
-                if other is write:
-                    continue
-                crosses = (
-                    write.wildcard or other.wildcard
-                    or write.segment != other.segment
-                )
-                unlocked = not write.locked or not other.locked
-                if crosses and unlocked:
-                    flagged = write
-                    break
-            if flagged:
-                break
-        if flagged is not None:
-            yield _RawFinding(
-                "CON101", module.rel_path, flagged.line, flagged.col,
-                f"`{base}.{attr}` is written on one side of an `await` "
-                f"in `async def {fn.name}` and accessed on the other "
-                "without consistently holding the owning lock; the "
-                "scheduler may interleave another task at every await",
-            )
-
-
 # ----------------------------------------------------------------------
 # rule classes
 # ----------------------------------------------------------------------
@@ -844,47 +576,6 @@ class GeneratorBoundaryRule(_FlowRule):
     example_fix = (
         "`run_trials(fn, spawn_rngs(rng, n))` -> "
         "`run_trials(fn, spawn_seeds(rng, n))`"
-    )
-
-
-@register
-class AwaitRaceRule(_FlowRule):
-    """CON101 — shared attributes must not straddle awaits unlocked."""
-
-    id = "CON101"
-    severity = "error"
-    summary = "shared attribute written across an await without its lock"
-    rationale = (
-        "asyncio interleaves tasks at every await: an attribute of a "
-        "shared object written in one await segment and read in another "
-        "is a read-modify-write race unless every access holds the "
-        "owning lock — exactly the serve-cache invariants PR 8 "
-        "established dynamically."
-    )
-    example_fix = (
-        "`self.count += 1; await flush(); self.count = 0` -> hold "
-        "`with self._lock:` on both sides (or keep state task-local)"
-    )
-
-
-@register
-class BlockingAsyncRule(_FlowRule):
-    """CON102 — no blocking sync calls on the event loop."""
-
-    id = "CON102"
-    severity = "error"
-    summary = "blocking call (sleep/sync file I/O) inside an async def"
-    rationale = (
-        "A blocking call on the event loop stalls every connected "
-        "client at once — the serve latency gate (PR 8) measures p99 "
-        "across concurrent clients, so one synchronous checkpoint can "
-        "blow the budget for all of them. The call graph closure "
-        "catches transitively-blocking project helpers, not just "
-        "direct `time.sleep`/`open` calls."
-    )
-    example_fix = (
-        "`server.checkpoint()` in an async def -> "
-        "`await asyncio.to_thread(server.checkpoint)`"
     )
 
 

@@ -19,21 +19,24 @@ checkpoint/recovery and resumable map splicing), each measured two ways:
   read per build, a changed CVB round count) is detectable *exactly*, even
   on a noisy CI runner.
 - **wall-clock** — median over ``repeats`` timed runs after ``warmup``
-  untimed runs, reported but never part of the deterministic section.
-  A scenario may declare a :class:`WallGate` over its own wall readings
-  (e.g. "a cache hit costs at most a tenth of a cold ANALYZE"); the
-  verdict lands in the wall section and :func:`gate_failures` lists the
-  gates a report failed.  This is the repo's one in-process timing
-  harness: every such perf claim lives on the scenario it measures.
+  untimed runs, reported but never part of the deterministic section and
+  never compared across runs.  A scenario may declare a :class:`WallGate`
+  over two of its own wall readings (e.g. "a cache hit costs at most a
+  tenth of a cold ANALYZE"), a ratio within one run that machine speed
+  does not move; the verdict lands in the wall section and
+  :func:`gate_failures` lists the gates a report failed.
 
 :func:`run_bench` produces a schema-versioned report
-(:data:`BENCH_SCHEMA_VERSION`) conventionally written as
-``BENCH_<YYYYMMDD>_<shortsha>.json`` at the repo root — the perf
-trajectory — and :func:`compare_reports` gates a report against a
-checked-in baseline (``benchmarks/baseline.json``): logical costs must
-match exactly, wall-clock is threshold-gated only when a tolerance is
-given.  ``--profile DIR`` wraps each scenario in :mod:`cProfile` and dumps
-a loadable ``.pstats`` plus a top-N hot-function text report per scenario.
+(:data:`BENCH_SCHEMA_VERSION`), written only where ``--out`` says, and
+:func:`compare_reports` gates a report against the checked-in baseline
+(``benchmarks/baseline.json``): logical costs must match exactly.  The
+baseline keeps only what :func:`baseline_of` takes from a smoke run —
+schema version, scale, seed and logical sections — so regenerating it on
+an unchanged commit rewrites the same bytes.  Cross-commit wall-clock
+claims belong to the end-to-end benchmark (``benchmarks/e2e/run.py
+compare`` over paired seeds), not to this harness.  ``--profile DIR``
+wraps each scenario in :mod:`cProfile` and dumps a loadable ``.pstats``
+plus a top-N hot-function text report per scenario.
 
 Layering note: unlike the rest of :mod:`repro.obs`, this module imports
 *downward* into sampling/core/engine/experiments — it is a harness that
@@ -43,7 +46,7 @@ import it explicitly as ``from repro.obs import bench``.
 
 Shell entry point::
 
-    python -m repro bench                       # run, write BENCH_*.json
+    python -m repro bench --out bench.json      # run, write the report
     python -m repro bench --list                # show the scenario registry
     python -m repro bench --compare benchmarks/baseline.json
     python -m repro bench --update-baseline
@@ -84,15 +87,15 @@ __all__ = [
     "run_bench",
     "gate_failures",
     "logical_section",
+    "baseline_of",
     "compare_reports",
     "write_report",
-    "default_report_name",
     "git_short_sha",
     "write_profile",
     "format_report",
 ]
 
-#: Version stamp of the BENCH_*.json report layout.  Bump on any breaking
+#: Version stamp of the bench report layout.  Bump on any breaking
 #: change to the report structure; :func:`compare_reports` refuses to
 #: compare across versions.
 BENCH_SCHEMA_VERSION = 1
@@ -1403,8 +1406,7 @@ def run_scenario(
             "warmup": warmup,
         }
         # Extra readings (e.g. the serve scenarios' request-latency p50/p99)
-        # come from the fastest timed run; compare_reports only ever
-        # threshold-gates median_s, never these.
+        # come from the fastest timed run; only a declared gate reads them.
         _, best_extra = min(timed, key=lambda run: run[0])
         for key, value in sorted(best_extra.items()):
             wall.setdefault(key, value)
@@ -1441,11 +1443,11 @@ def run_bench(
 ) -> dict:
     """Run *scenarios* (default: the whole registry) and build a report.
 
-    The report is the BENCH_*.json document: ``schema_version``, the run
-    parameters, one entry per scenario (see :func:`run_scenario`), and a
-    ``meta`` block (timestamp, git sha, python version) that is excluded
-    from every determinism comparison.  Gate verdicts sit in each
-    scenario's wall section; :func:`gate_failures` lists the failed ones.
+    The report holds ``schema_version``, the run parameters, one entry per
+    scenario (see :func:`run_scenario`), and a ``meta`` block (timestamp,
+    git sha, python version) that :func:`baseline_of` drops.  Gate
+    verdicts sit in each scenario's wall section; :func:`gate_failures`
+    lists the failed ones.
     """
     bench_scale = _get_scale(scale)
     names = scenario_names() if scenarios is None else list(scenarios)
@@ -1503,7 +1505,7 @@ def gate_failures(report: dict) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Report I/O, naming, comparison
+# Report I/O and comparison
 # ----------------------------------------------------------------------
 
 
@@ -1521,17 +1523,6 @@ def git_short_sha(cwd: str | Path | None = None) -> str:
         return "nogit"
     sha = proc.stdout.strip()
     return sha if proc.returncode == 0 and sha else "nogit"
-
-
-def default_report_name(
-    when: datetime.date | None = None, sha: str | None = None
-) -> str:
-    """The trajectory filename: ``BENCH_<YYYYMMDD>_<shortsha>.json``."""
-    if when is None:
-        # Filename provenance for trajectory reports, not experiment logic.
-        when = datetime.date.today()  # repro: noqa[DET002]
-    sha = sha if sha is not None else git_short_sha()
-    return f"BENCH_{when.strftime('%Y%m%d')}_{sha}.json"
 
 
 def write_report(report: dict, path: str | Path) -> Path:
@@ -1561,20 +1552,35 @@ def logical_section(report: dict) -> str:
     return json.dumps(logical, indent=2, sort_keys=True) + "\n"
 
 
+def baseline_of(report: dict) -> dict:
+    """The part of *report* that :func:`compare_reports` reads.
+
+    Schema version, scale, seed and each scenario's logical section: no
+    wall readings, run parameters or provenance, so the baseline written
+    from an unchanged commit is the same bytes on any machine.
+    """
+    return {
+        "schema_version": report["schema_version"],
+        "scale": report["scale"],
+        "seed": report["seed"],
+        "scenarios": {
+            name: {"logical": entry["logical"]}
+            for name, entry in report["scenarios"].items()
+        },
+    }
+
+
 def compare_reports(
-    current: dict,
-    baseline: dict,
-    wall_tolerance: float | None = None,
+    current: dict, baseline: dict
 ) -> tuple[list[str], list[str]]:
     """Gate *current* against *baseline*; returns ``(failures, notes)``.
 
     Logical costs must match **exactly** (any drift is a failure — page
     reads, counters and deterministic outputs cannot change without a code
-    change explaining it).  Wall-clock is inherently noisy, so it fails
-    only when *wall_tolerance* is given and a scenario's median exceeds
-    ``baseline_median * wall_tolerance``; otherwise wall deltas are
-    reported as notes.  Scenarios present only on one side are a failure
-    (missing from current) or a note (new in current).
+    change explaining it).  Wall-clock is never compared: a reading from
+    another run on another machine says nothing about this change.
+    Scenarios present only on one side are a failure (missing from
+    current) or a note (new in current).
     """
     failures: list[str] = []
     notes: list[str] = []
@@ -1606,20 +1612,6 @@ def compare_reports(
         if cur_logical != base_logical:
             for detail in _logical_diff(base_logical, cur_logical):
                 failures.append(f"{name}: {detail}")
-        base_wall = base_scenarios[name].get("wall", {}).get("median_s")
-        cur_wall = cur_scenarios[name].get("wall", {}).get("median_s")
-        if base_wall and cur_wall:
-            ratio = cur_wall / base_wall
-            line = (
-                f"{name}: wall median {cur_wall * 1e3:.2f} ms vs baseline "
-                f"{base_wall * 1e3:.2f} ms ({ratio:.2f}x)"
-            )
-            if wall_tolerance is not None and ratio > wall_tolerance:
-                failures.append(
-                    line + f" exceeds tolerance {wall_tolerance:.2f}x"
-                )
-            else:
-                notes.append(line)
     for name in sorted(set(cur_scenarios) - set(base_scenarios)):
         notes.append(
             f"{name}: new scenario, not in baseline "

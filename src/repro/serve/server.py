@@ -252,8 +252,18 @@ class StatsServer:
         """Admission-controlled explicit ANALYZE."""
         table = self._table(fields["table"])
         column = fields["column"]
+        requested = fields.get("params") or {}
+        # A sample or bucket count beyond the table's rows would only
+        # ask numpy for an absurd allocation; the defaults stay unchecked
+        # so a table smaller than the default k still builds.
+        for name in ("k", "record_sample_size"):
+            if requested.get(name, 0) > table.num_rows:
+                raise ProtocolError(
+                    f"params.{name}={requested[name]} exceeds the "
+                    f"{table.num_rows} rows of table {table.name!r}"
+                )
         params = dict(self.build_params)
-        params.update(fields.get("params") or {})
+        params.update(requested)
         with self.admission.slot() as decision:
             if decision == AdmissionDecision.SHED:
                 return self._degraded_answer(table.name, column)

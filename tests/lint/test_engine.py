@@ -45,7 +45,7 @@ class TestRegistry:
             "OBS001", "EXC001", "EXC002", "EXC003", "FLT001",
             "DOC001", "DOC002", "DOC003", "NOQA001",
             "SEED101", "SEED102", "SEED103",
-            "CON101", "CON102", "CON103",
+            "CON103",
         }
 
     def test_every_rule_is_described(self):

@@ -3,17 +3,15 @@
 The observability docs promise that every metric and span name in
 ``repro.obs.catalog`` is catalogued in docs/OBSERVABILITY.md and vice
 versa.  These tests enforce the promise literally, so the doc cannot go
-stale (or invent names) without CI failing.  The repo's doc lints
-(``tools/check_docstrings.py`` / ``tools/check_links.py``) are also run
-here so a broken docstring or dead link fails tier-1, not just CI.
+stale (or invent names) without CI failing.  Docstring coverage and dead
+links are lint rules DOC001/DOC002, gated in tier-1 by
+``tests/lint/test_repo_clean.py``.
 """
 
 from __future__ import annotations
 
 import pathlib
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -128,18 +126,3 @@ class TestBenchScenarioSync:
         )
         assert baseline["schema_version"] == BENCH_SCHEMA_VERSION
         assert sorted(baseline["scenarios"]) == sorted(scenarios)
-
-
-class TestDocLints:
-    """The repo's own doc lints pass from a clean checkout."""
-
-    @pytest.mark.parametrize(
-        "tool", ["check_docstrings.py", "check_links.py"]
-    )
-    def test_lint_passes(self, tool):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / tool)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr

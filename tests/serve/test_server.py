@@ -18,13 +18,25 @@ from repro.serve.protocol import SHUTDOWN_OP
 from repro.serve.server import LINE_LIMIT
 
 
+ROWS = 20_000
+
+#: Well-typed ``analyze`` params beyond the table's rows; unchecked, the
+#: larger ones would ask numpy for an impossible allocation.
+OVERSIZED_PARAMS = [
+    {"k": ROWS + 1},
+    {"k": 10**30},
+    {"method": "record", "record_sample_size": ROWS + 1},
+    {"method": "record", "record_sample_size": 10**30},
+]
+
+
 def _server(**kwargs):
     kwargs.setdefault(
         "policy", RefreshPolicy(fraction=0.2, floor_rows=100)
     )
     kwargs.setdefault("build_params", {"k": 8, "f": 0.3})
     return StatsServer(
-        {"t": Table("t", {"x": np.arange(20_000)})}, **kwargs
+        {"t": Table("t", {"x": np.arange(ROWS)})}, **kwargs
     )
 
 
@@ -115,7 +127,8 @@ class TestEndpoints:
 
     @pytest.mark.parametrize(
         "params",
-        [{"bogus": 1}, {"k": "abc"}, {"f": "x"}, {"rng": 5}, {"k": 2.5}],
+        [{"bogus": 1}, {"k": "abc"}, {"f": "x"}, {"rng": 5}, {"k": 2.5}]
+        + OVERSIZED_PARAMS,
     )
     def test_bad_analyze_params_get_protocol_error(self, params):
         response = _server().handle(
@@ -123,6 +136,16 @@ class TestEndpoints:
         )
         assert not response["ok"]
         assert response["code"] == "ProtocolError"
+
+    def test_params_up_to_the_row_count_build(self):
+        built = _ok(_server().handle(
+            {"op": "analyze", "table": "t", "column": "x",
+             "params": {"k": ROWS}}
+        ))
+        assert built["n"] == ROWS
+        small = StatsServer({"s": Table("s", {"x": np.arange(30)})})
+        built = _ok(small.handle({"op": "analyze", "table": "s", "column": "x"}))
+        assert built["n"] == 30  # fewer rows than the default k still builds
 
     def test_record_build_of_empty_sample_is_an_error_envelope(self):
         response = _server().handle(
@@ -368,7 +391,9 @@ class TestTcpFrontEnd:
         )
         with socket.create_connection((host, port), timeout=5.0) as sock:
             stream = sock.makefile("rwb")
-            for params in ({"bogus": 1}, {"k": "abc"}, {"rng": 5}):
+            for params in [
+                {"bogus": 1}, {"k": "abc"}, {"rng": 5}, *OVERSIZED_PARAMS,
+            ]:
                 rejected = _roundtrip(stream, {
                     "op": "analyze", "table": "t", "column": "x",
                     "params": params,

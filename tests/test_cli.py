@@ -384,15 +384,31 @@ class TestBench:
             + ["--out", str(out), "--update-baseline"]
         )
         assert code == 0
-        assert (tmp_path / "benchmarks" / "baseline.json").exists()
+        from repro.obs import bench
+
+        baseline = json.loads(
+            (tmp_path / "benchmarks" / "baseline.json").read_text()
+        )
+        assert baseline == bench.baseline_of(json.loads(out.read_text()))
+
+    def test_run_without_out_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(self.BENCH + self.SUBSET) == 0
+        assert "merge_equi_height" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_bad_repeats(self, capsys):
         assert main(["bench", "--repeats", "0"]) == 2
         assert "--repeats" in capsys.readouterr().err
 
     def test_rejects_bad_wall_tolerance(self, capsys):
-        assert main(["bench", "--wall-tolerance", "0"]) == 2
-        assert "--wall-tolerance" in capsys.readouterr().err
+        # Wall-clock is never compared across runs, so the flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--wall-tolerance", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --wall-tolerance" in (
+            capsys.readouterr().err
+        )
 
     def test_unknown_scenario_is_clean_error(self, capsys):
         code = main(["bench", "--scenario", "nope", "--scale", "smoke"])
