@@ -53,12 +53,10 @@ Four subcommands expose the library to shell users:
     Determinism & invariant static analysis (:mod:`repro.lint`): run the
     project rule set (DET/OBS/EXC/FLT/DOC) over ``src/repro`` and the
     Markdown docs, print a text or JSON report, and exit nonzero on any
-    unsuppressed error-severity finding — the CI gate.  ``--flow`` adds
-    the whole-program SEED1xx/CON1xx analysis (symbol table + call
-    graph), ``--graph FILE`` dumps that call graph as Graphviz DOT, and
-    ``--changed-only`` restricts findings to files touched versus the
-    merge-base with ``main`` (the fast pre-push loop).  Supports
-    ``--rules`` selection, ``--baseline`` diffing and ``--list-rules``.
+    unsuppressed error-severity finding — the CI gate.  ``--changed-only``
+    restricts findings to files touched versus the merge-base with
+    ``main`` (the fast pre-push loop).  Supports ``--rules`` selection,
+    ``--baseline`` diffing and ``--list-rules``.
 
 ``serve``
     Statistics-as-a-service (:mod:`repro.serve`): run the JSON-lines
@@ -93,7 +91,6 @@ output bit-identical to an uninterrupted one.  See docs/DURABILITY.md.
 from __future__ import annotations
 
 import argparse
-import pathlib
 import sys
 from contextlib import contextmanager
 
@@ -383,15 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--out", metavar="FILE",
         help="write the report to FILE instead of stdout",
-    )
-    lint.add_argument(
-        "--flow", action="store_true",
-        help="enable the whole-program SEED1xx/CON1xx flow analysis "
-             "(symbol table + call graph over src/repro)",
-    )
-    lint.add_argument(
-        "--graph", metavar="FILE",
-        help="write the project call graph as Graphviz DOT to FILE",
     )
     lint.add_argument(
         "--changed-only", action="store_true",
@@ -952,24 +940,8 @@ def _cmd_lint(args) -> int:
         paths = changed_files(args.root)
         if not paths:
             print("lint: no lintable files changed vs main", file=sys.stderr)
-    if args.graph:
-        from .durability import atomic_write_text
-        from .lint.engine import default_root
-        from .lint.flowrules import get_project
 
-        root = pathlib.Path(args.root) if args.root else default_root()
-        project = get_project(root)
-        atomic_write_text(args.graph, project.graph.to_dot())
-        print(
-            f"call graph written to {args.graph} "
-            f"({project.work_measure['modules']} modules, "
-            f"{project.work_measure['call_edges']} edges)",
-            file=sys.stderr,
-        )
-
-    report = lint_mod.run_lint(
-        root=args.root, rules=args.rules, paths=paths, flow=args.flow
-    )
+    report = lint_mod.run_lint(root=args.root, rules=args.rules, paths=paths)
     if args.write_baseline:
         lint_mod.write_baseline(report, args.write_baseline)
         print(

@@ -8,7 +8,10 @@ loop** for any worker count:
 - the caller derives one integer seed per trial *up front* (via
   :func:`repro._rng.spawn_seeds`, i.e. before any work is distributed), so
   trial ``i``'s randomness depends only on its own seed, never on which
-  worker ran it or in what order;
+  worker ran it or in what order.  A numpy ``Generator`` or
+  ``BitGenerator`` passed as a seed is rejected before anything runs:
+  trials sharing one would draw from it in turn in-process but each get
+  a fresh copy in a worker;
 - results are reassembled in submission order, so ``pool.map(fn, seeds)``
   equals ``[fn(s) for s in seeds]`` element-for-element.
 
@@ -42,6 +45,8 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from ..exceptions import ParameterError, TaskQuarantinedError
 from ..obs import metrics as _metrics
@@ -210,6 +215,19 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=_watch, daemon=True).start()
+
+
+def _check_seeds(seeds: list) -> None:
+    """Reject numpy generators among *seeds*, or inside a tuple seed."""
+    for index, seed in enumerate(seeds):
+        for part in seed if isinstance(seed, tuple) else (seed,):
+            if isinstance(part, (np.random.Generator, np.random.BitGenerator)):
+                raise ParameterError(
+                    f"seed {index} holds a numpy {type(part).__name__}; a "
+                    "generator cannot cross a trial boundary (serial and "
+                    "parallel maps would draw different streams from it), "
+                    "so pass spawn_seeds(rng, n) ints instead"
+                )
 
 
 def _is_picklable(obj: Any) -> bool:
@@ -529,8 +547,11 @@ class TrialPool:
 
         *seeds* are opaque picklable tokens (ints from
         :func:`~repro._rng.spawn_seeds`, or tuples of them); the pool never
-        interprets them.  Output order always matches seed order, and the
-        values are bit-identical to the serial loop for any worker count.
+        interprets them, but raises :class:`~repro.exceptions.ParameterError`
+        before running anything if a seed is, or a tuple seed holds, a
+        numpy ``Generator`` or ``BitGenerator``.  Output order always
+        matches seed order, and the values are bit-identical to the serial
+        loop for any worker count.
         """
         workers = (
             self.max_workers
@@ -543,6 +564,7 @@ class TrialPool:
             else _validate_chunk_size(chunk_size)
         )
         seeds = list(seeds)
+        _check_seeds(seeds)
         # Wall-clock observability only: elapsed_s is reporting, not logic.
         start = time.perf_counter()  # repro: noqa[DET002]
 

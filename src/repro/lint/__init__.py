@@ -9,17 +9,17 @@ package makes those invariants *statically checkable* before any test
 runs: an AST-based engine (:mod:`repro.lint.engine`) walks every module
 under ``src/repro`` (plus the repo's Markdown docs) and applies a
 project-specific rule set (:mod:`repro.lint.rules`,
-:mod:`repro.lint.docrules`), while the whole-program flow layer
-(:mod:`repro.lint.symbols` → :mod:`repro.lint.callgraph` →
-:mod:`repro.lint.flowrules`) tracks seed provenance and lock balance
-across module boundaries.
+:mod:`repro.lint.docrules`), one file at a time.  What a per-file rule
+cannot see is checked where it happens: ``TrialPool.map`` rejects numpy
+generators as seeds at run time, and ``tests/test_api.py`` diffs
+docs/API.md against its generator.
 
 Entry points
 ------------
 
 - ``python -m repro lint [--format text|json] [--rules ...]
-  [--baseline FILE] [--flow] [--graph FILE] [--changed-only]`` — the CLI
-  gate (see :mod:`repro.cli`);
+  [--baseline FILE] [--changed-only]`` — the CLI gate (see
+  :mod:`repro.cli`);
 - :func:`run_lint` — lint the repo (or an explicit file list) in-process;
 - :func:`lint_text` — lint one source string under a chosen relative path
   (how the rule unit tests drive single fixtures);

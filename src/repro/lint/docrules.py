@@ -1,9 +1,9 @@
-"""Documentation rules: docstring coverage, relative links, API drift.
+"""Documentation rules: docstring coverage and relative links.
 
-DOC001 (public names carry docstrings), DOC002 (relative Markdown links
-resolve) and DOC003 (docs/API.md matches the live docstrings) run in the
-same driver as the code rules, so ``python -m repro lint`` covers code
-and docs alike.
+DOC001 (public names carry docstrings) and DOC002 (relative Markdown
+links resolve) run in the same driver as the code rules, so ``python -m
+repro lint`` covers code and docs alike.  Whether docs/API.md matches
+its generator is a tier-1 test (``tests/test_api.py``), not a rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .engine import Finding, LintContext, Rule, register
 
-__all__ = ["DocstringRule", "LinkRule", "ApiReferenceRule"]
+__all__ = ["DocstringRule", "LinkRule"]
 
 
 @register
@@ -137,87 +137,3 @@ class LinkRule(Rule):
                         ctx, lineno, match.start(),
                         f"broken relative link -> {target}",
                     )
-
-
-_API_HEADING = re.compile(r"^### `(repro[\w.]*)`$")
-
-
-def _first_paragraph(doc: str | None) -> str:
-    """The generator's docstring rendering (kept in lockstep with
-    ``tools/gen_api_reference.py``)."""
-    if not doc:
-        return "*(undocumented)*"
-    paragraph = doc.strip().split("\n\n")[0]
-    return " ".join(line.strip() for line in paragraph.splitlines())
-
-
-@register
-class ApiReferenceRule(Rule):
-    """DOC003 — docs/API.md module sections match the live docstrings."""
-
-    id = "DOC003"
-    severity = "error"
-    summary = "stale docs/API.md section vs the live module docstrings"
-    rationale = (
-        "docs/API.md is generated from docstrings by "
-        "tools/gen_api_reference.py; once it drifts — a module added "
-        "without a section, or a docstring rewritten without "
-        "regenerating — the reference silently documents a codebase "
-        "that no longer exists. This folds the drift check into the "
-        "zero-findings gate like every other doc rule."
-    )
-    example_fix = (
-        "run `python tools/gen_api_reference.py` (after adding new "
-        "modules to its SECTIONS table)"
-    )
-    targets = "markdown"
-    paths = ("docs/API.md",)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Cross-check API.md headings against the parsed module tree."""
-        package = ctx.root / "src" / "repro"
-        if not package.is_dir():
-            return
-        from .symbols import build_symbol_table
-
-        table = build_symbol_table(ctx.root)
-        headings: dict[str, tuple[int, str]] = {}
-        for lineno, line in enumerate(ctx.lines, start=1):
-            match = _API_HEADING.match(line)
-            if match is None:
-                continue
-            paragraph = ""
-            for follow in ctx.lines[lineno:]:
-                if follow.strip():
-                    paragraph = follow.strip()
-                    break
-            headings[match.group(1)] = (lineno, paragraph)
-        for name, (lineno, paragraph) in sorted(headings.items()):
-            summary = table.modules.get(name)
-            if summary is None:
-                yield self.finding(
-                    ctx, lineno, 0,
-                    f"docs/API.md documents `{name}` but no such module "
-                    "exists; regenerate with tools/gen_api_reference.py",
-                )
-                continue
-            expected = _first_paragraph(summary.docstring)
-            if paragraph != expected:
-                yield self.finding(
-                    ctx, lineno, 0,
-                    f"docs/API.md section for `{name}` is stale (its "
-                    "docstring changed); regenerate with "
-                    "tools/gen_api_reference.py",
-                )
-        for name, summary in sorted(table.modules.items()):
-            if summary.is_package or name.endswith("__main__"):
-                continue
-            if any(part.startswith("_") for part in name.split(".")):
-                continue
-            if name not in headings:
-                yield self.finding(
-                    ctx, 1, 0,
-                    f"module `{name}` has no docs/API.md section; add it "
-                    "to tools/gen_api_reference.py SECTIONS and "
-                    "regenerate",
-                )

@@ -10,8 +10,7 @@ Design
   rules get a parsed AST per file; Markdown rules get raw text.
 - **One parse per file.**  The engine parses each source file once into a
   :class:`LintContext` and hands the same context to every applicable
-  rule; the AST node count it accumulates is the "work done" measure
-  the ``lint_full_repo`` bench scenario reports next to its wall time.
+  rule; the report counts the files and AST nodes it visited.
 - **Inline suppressions.**  ``# repro: noqa[RULE]`` (comma-separated ids,
   optionally followed by a justification) suppresses findings of those
   rules on that physical line.  Suppressions are tracked: any that match
@@ -22,8 +21,8 @@ Design
   comparable (see :mod:`repro.lint.report`).
 
 The project-specific rule set registers itself on import (bottom of this
-module); :data:`RULES` is the id-keyed registry the CLI, the docs-sync
-test and the bench scenario all read.
+module); :data:`RULES` is the id-keyed registry the CLI and the
+docs-sync test read.
 """
 
 from __future__ import annotations
@@ -160,13 +159,7 @@ def load_obs_catalog(root: pathlib.Path) -> ObsCatalog:
 
 @dataclass
 class LintContext:
-    """Everything a rule may inspect about one file (parsed once).
-
-    ``project`` is the whole-program :class:`~repro.lint.flowrules.
-    ProjectModel` (symbol table + call graph); it is only populated when
-    a selected rule declares ``requires_flow`` — per-module rules never
-    pay for it.
-    """
+    """Everything a rule may inspect about one file (parsed once)."""
 
     rel_path: str
     source: str
@@ -174,7 +167,6 @@ class LintContext:
     tree: ast.AST | None
     root: pathlib.Path
     catalog: ObsCatalog
-    project: object | None = None
 
 
 class Rule:
@@ -202,10 +194,6 @@ class Rule:
     engine_managed:
         True for rules the engine emits itself (``NOQA001``); their
         :meth:`check` is never called.
-    requires_flow:
-        True for whole-program rules (SEED1xx/CON1xx) that need the
-        project model; they only run under ``--flow`` or when selected
-        explicitly via ``--rules``.
     """
 
     id: str = ""
@@ -216,7 +204,6 @@ class Rule:
     targets: str = "python"
     paths: tuple[str, ...] | None = None
     engine_managed: bool = False
-    requires_flow: bool = False
 
     def applies_to(self, rel_path: str) -> bool:
         """Does this rule run on the file at *rel_path*?"""
@@ -299,17 +286,14 @@ class LintReport:
     """Outcome of one lint run.
 
     ``files`` and ``nodes`` (AST nodes for Python files, scanned lines for
-    Markdown) are the deterministic work measure the bench harness tracks;
-    ``findings`` is sorted by position.  ``flow`` carries the project
-    model's work counters (modules, call edges) when the flow analysis
-    ran, else None.
+    Markdown) are the deterministic work measure the text report prints;
+    ``findings`` is sorted by position.
     """
 
     findings: list[Finding] = field(default_factory=list)
     files: int = 0
     nodes: int = 0
     rules: list[str] = field(default_factory=list)
-    flow: dict | None = None
 
     @property
     def errors(self) -> list[Finding]:
@@ -317,15 +301,9 @@ class LintReport:
         return [f for f in self.findings if f.severity == "error"]
 
 
-def _resolve_rules(
-    rules: Iterable[str] | None, flow: bool = False
-) -> list[Rule]:
+def _resolve_rules(rules: Iterable[str] | None) -> list[Rule]:
     if rules is None:
-        return [
-            r
-            for r in RULES.values()
-            if not r.engine_managed and (flow or not r.requires_flow)
-        ]
+        return [r for r in RULES.values() if not r.engine_managed]
     selected = []
     for rule_id in rules:
         if rule_id not in RULES:
@@ -437,7 +415,6 @@ def run_lint(
     root: pathlib.Path | str | None = None,
     rules: Iterable[str] | None = None,
     paths: Iterable[pathlib.Path | str] | None = None,
-    flow: bool = False,
 ) -> LintReport:
     """Lint the repo at *root* (default: this checkout) and report.
 
@@ -445,17 +422,10 @@ def run_lint(
     *paths* overrides file discovery with an explicit list (each entry is
     reported relative to *root*).  Python rules run on ``src/repro``
     modules, Markdown rules on the :func:`markdown_files` doc set.
-    ``flow=True`` additionally enables the whole-program SEED1xx/CON1xx
-    rules (the project model is built once and shared across files).
     """
     root = pathlib.Path(root) if root is not None else default_root()
-    selected = _resolve_rules(rules, flow=flow)
+    selected = _resolve_rules(rules)
     catalog = load_obs_catalog(root)
-    project = None
-    if any(r.requires_flow for r in selected):
-        from .flowrules import get_project
-
-        project = get_project(root)
 
     if paths is None:
         py_files = (
@@ -474,13 +444,10 @@ def run_lint(
         md_files = [p for p in resolved if p.suffix == ".md"]
 
     report = LintReport(rules=[r.id for r in selected])
-    if project is not None:
-        report.flow = project.work_measure
     for path in py_files:
         source = path.read_text()
         rel = path.resolve().relative_to(root.resolve()).as_posix()
         ctx = _lint_context(rel, source, root, catalog, parse=True)
-        ctx.project = project
         report.files += 1
         report.nodes += sum(1 for _ in ast.walk(ctx.tree))
         report.findings.extend(_check_file(ctx, selected, "python"))
@@ -501,26 +468,19 @@ def lint_text(
     root: pathlib.Path | str | None = None,
     rules: Iterable[str] | None = None,
     catalog: ObsCatalog | None = None,
-    flow: bool = False,
 ) -> LintReport:
     """Lint one Python source string as if it lived at *rel_path*.
 
     The unit-test entry point: rules whose ``paths`` scope depends on the
     location (``DET004``, ``FLT001``) can be exercised by choosing
     *rel_path* accordingly.  *catalog* overrides the OBS001 catalog
-    (default: extracted from *root*).  When a flow rule is selected (or
-    ``flow=True``), a single-module project model is built from just
-    this source, so SEED/CON fixtures lint without a repo on disk.
+    (default: extracted from *root*).
     """
     root = pathlib.Path(root) if root is not None else default_root()
     if catalog is None:
         catalog = load_obs_catalog(root)
-    selected = _resolve_rules(rules, flow=flow)
+    selected = _resolve_rules(rules)
     ctx = _lint_context(rel_path, source, root, catalog, parse=True)
-    if any(r.requires_flow for r in selected):
-        from .flowrules import get_project
-
-        ctx.project = get_project(root, sources={rel_path: source})
     report = LintReport(rules=[r.id for r in selected], files=1)
     report.nodes = sum(1 for _ in ast.walk(ctx.tree))
     report.findings.extend(_check_file(ctx, selected, "python"))
@@ -580,4 +540,3 @@ def changed_files(root: pathlib.Path | str | None = None) -> list[pathlib.Path]:
 # import this one for the Rule base class without a cycle).
 from . import docrules as _docrules  # noqa: E402,F401
 from . import rules as _rules  # noqa: E402,F401
-from . import flowrules as _flowrules  # noqa: E402,F401

@@ -78,8 +78,6 @@ def render_json(report: LintReport) -> str:
             "by_rule": dict(sorted(by_rule.items())),
         },
     }
-    if report.flow is not None:
-        doc["flow"] = report.flow
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -4,7 +4,8 @@ Each rule protects an invariant a prior PR established dynamically:
 
 - ``DET001``/``DET002`` — seed-exactness: the serial/parallel equivalence
   property (PR 1) and the exact bench gate (PR 4) only hold if no code
-  path consults process-global RNG state or the wall clock.
+  path consults process-global RNG state, unseeded OS entropy or the
+  wall clock.
 - ``DET003``/``DET004`` — bit-identical reports: set iteration order and
   naive float summation are the two classic ways "equal" runs diverge.
 - ``OBS001`` — the metrics/trace catalog (PR 3) is strict at runtime;
@@ -91,6 +92,18 @@ def dotted_name(node: ast.AST) -> str | None:
     return ".".join(reversed(parts))
 
 
+def _is_unseeded(call: ast.Call) -> bool:
+    """True for a call with no argument, or with only a literal ``None``."""
+    args = call.args + [keyword.value for keyword in call.keywords]
+    if not args:
+        return True
+    return (
+        len(args) == 1
+        and isinstance(args[0], ast.Constant)
+        and args[0].value is None
+    )
+
+
 def _resolved_calls(ctx: LintContext) -> Iterator[tuple[ast.Call, str]]:
     """Yield every call in the file with its import-resolved dotted name."""
     table = ImportTable(ctx.tree)
@@ -103,16 +116,20 @@ def _resolved_calls(ctx: LintContext) -> Iterator[tuple[ast.Call, str]]:
 
 @register
 class GlobalRngRule(Rule):
-    """DET001 — no process-global RNG state."""
+    """DET001 — no process-global RNG state and no unseeded generators."""
 
     id = "DET001"
     severity = "error"
-    summary = "global-state RNG call (random.* / np.random.* module level)"
+    summary = "global-state or unseeded RNG call (random.* / np.random.*)"
     rationale = (
         "Theorems 4-7 are validated by seed-exact trials; module-level "
         "RNG state is shared across the process, so any call through it "
         "breaks serial/parallel equivalence (PR 1) and the exact bench "
         "gate (PR 4). Use repro._rng.ensure_rng / numpy Generator objects."
+        " `default_rng()` and `SeedSequence()` with no seed (or a literal"
+        " None) pull fresh OS entropy, so reruns diverge; the one"
+        " sanctioned site is the `ensure_rng` None-branch, which callers"
+        " opt into explicitly."
     )
     example_fix = (
         "`np.random.seed(0); np.random.random()` -> "
@@ -125,20 +142,31 @@ class GlobalRngRule(Rule):
         "default_rng", "Generator", "SeedSequence", "BitGenerator",
         "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
     })
+    #: numpy.random constructors that draw OS entropy when left unseeded.
+    _NP_AMBIENT = frozenset({"default_rng", "SeedSequence"})
     #: stdlib random attributes that construct explicit instances.
     _PY_ALLOWED = frozenset({"Random"})
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Flag calls through ``random.*`` or ``numpy.random.*`` state."""
+        """Flag global RNG state and unseeded generator construction."""
         for node, name in _resolved_calls(ctx):
             if name.startswith("numpy.random."):
                 attr = name.removeprefix("numpy.random.")
-                if attr.split(".", 1)[0] in self._NP_ALLOWED:
+                if attr in self._NP_AMBIENT and _is_unseeded(node):
+                    message = (
+                        f"`{name}` seeded from ambient OS entropy; thread "
+                        "an explicit seed (repro._rng.ensure_rng(seed))"
+                    )
+                elif attr.split(".", 1)[0] in self._NP_ALLOWED:
                     continue
+                else:
+                    message = (
+                        f"call to global-state numpy RNG `{name}`; "
+                        "construct an explicit Generator "
+                        "(repro._rng.ensure_rng)"
+                    )
                 yield self.finding(
-                    ctx, node.lineno, node.col_offset,
-                    f"call to global-state numpy RNG `{name}`; construct "
-                    "an explicit Generator (repro._rng.ensure_rng)",
+                    ctx, node.lineno, node.col_offset, message
                 )
             elif name.startswith("random."):
                 attr = name.removeprefix("random.")

@@ -7,9 +7,9 @@ for the reproduction itself: a registry of named **scenarios** covering
 every hot path the cost story runs through (record sampling, block
 sampling, the CVB build, histogram merging, distinct estimation,
 selectivity lookup, :class:`~repro.experiments.parallel.TrialPool`
-scaling at 1/2/4 workers, a full :mod:`repro.lint` static-analysis
-sweep, and the :mod:`repro.durability` machinery — catalog
-checkpoint/recovery and resumable map splicing), each measured two ways:
+scaling at 1/2/4 workers, and the :mod:`repro.durability` machinery —
+catalog checkpoint/recovery and resumable map splicing), each measured
+two ways:
 
 - **logical costs** — pages read (via
   :class:`~repro.storage.iostats.IOStats`), counters from the
@@ -573,55 +573,6 @@ for _workers in (1, 2, 4):
             teardown=_pool_teardown,
         )
     )
-
-
-# --- static analysis ---------------------------------------------------
-
-
-def _lint_setup(scale: BenchScale, seed: int) -> dict:
-    """Resolve the repo root the lint scenario will sweep."""
-    from .. import lint
-
-    return {"root": lint.default_root()}
-
-
-def _lint_run(ctx: dict) -> dict:
-    """One full ``repro.lint`` sweep; logical cost = rules and findings.
-
-    Runs with ``flow=True`` so the whole-program pass (symbol table, call
-    graph, SEED/CON rules) is inside the measured work.  The corpus is this
-    repo itself, so its size (files, AST nodes, flow modules and call
-    edges) moves whenever the source or the doc set is edited: those
-    counts are reported under ``wall_extra``, never gated.
-    """
-    from .. import lint
-
-    report = lint.run_lint(root=ctx["root"], flow=True)
-    ctx["wall_extra"] = {
-        "files": report.files,
-        "nodes": report.nodes,
-        "flow_modules": report.flow["modules"],
-        "flow_call_edges": report.flow["call_edges"],
-    }
-    return {
-        "rules": len(report.rules),
-        "findings": len(report.findings),
-        "errors": len(report.errors),
-    }
-
-
-_register(
-    Scenario(
-        name="lint_full_repo",
-        paper=(
-            "Determinism contract (PR 5): the invariants behind "
-            "Theorems 4-7 reproductions, checked statically"
-        ),
-        help="full repro.lint sweep over src/repro plus the Markdown docs",
-        setup=_lint_setup,
-        run=_lint_run,
-    )
-)
 
 
 # --- vectorized kernels ------------------------------------------------

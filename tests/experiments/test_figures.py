@@ -71,6 +71,18 @@ class TestFigureBuilders:
         # Real series is constant.
         assert len(set(result["real"].y)) == 1
 
+    def test_figure9_10_parallel_equals_serial(self):
+        """The distinct-value sweep behind Figures 9-12 fans its trials
+        out through a TrialPool; 2 workers must give the serial series."""
+        serial = figure9_10("zipf2", scale=MICRO, seed=0, workers=1)
+        parallel = figure9_10(
+            "zipf2", scale=MICRO, seed=0, workers=2, chunk_size=1
+        )
+        for key in ("real", "sample", "estimate", "err_sample",
+                    "err_estimate"):
+            assert parallel[key] == serial[key], key
+        assert parallel == serial
+
     def test_figure11_12(self):
         result = figure11_12("unif_dup", scale=MICRO, seed=0)
         assert all(e >= 0 for e in result["err_estimate"].y)

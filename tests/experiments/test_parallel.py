@@ -44,6 +44,15 @@ def _record_trial(seed: int) -> TrialRecord:
     return TrialRecord(float(rng.random()), page_reads=seed % 7)
 
 
+def _draw_from(generator) -> float:
+    """A trial kernel that takes a generator, not a seed, as its token."""
+    return float(generator.random())
+
+
+def _sum_pair(pair: tuple) -> int:
+    return int(pair[0] + pair[1])
+
+
 class TestSeedSpawning:
     def test_spawn_seeds_matches_spawn_rngs(self):
         """The contract the whole engine rests on: reconstructing a
@@ -84,6 +93,39 @@ class TestValidation:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert resolve_workers(None) == 3
+
+
+class TestGeneratorSeedsRejected:
+    """A generator shared by several trials is drawn from in turn by a
+    serial map but copied into each worker by a parallel one, so the two
+    would disagree; the pool refuses it before running anything."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_generator_rejected_at_any_worker_count(self, workers):
+        shared = np.random.default_rng(7)
+        with TrialPool(max_workers=workers, chunk_size=1) as pool:
+            with pytest.raises(ParameterError, match="numpy Generator"):
+                pool.map(_draw_from, [shared] * 6)
+            assert pool.last_stats is None
+            assert pool._executor is None
+        # No trial ran, so the generator was never advanced.
+        assert shared.random() == np.random.default_rng(7).random()
+
+    def test_bit_generator_rejected(self):
+        with pytest.raises(ParameterError, match="numpy PCG64"):
+            run_trials(_draw_from, [np.random.PCG64(1)])
+
+    def test_generator_inside_a_tuple_seed_rejected(self):
+        seeds = [(1, 2), (3, np.random.default_rng(0))]
+        with pytest.raises(ParameterError, match="seed 1 holds"):
+            run_trials(_sum_pair, seeds, max_workers=2)
+
+    def test_ints_and_int_tuples_still_map(self):
+        assert run_trials(_draw_floats, [1, 2], max_workers=2) == [
+            _draw_floats(1), _draw_floats(2),
+        ]
+        pairs = [(1, 2), (3, np.int64(4))]
+        assert run_trials(_sum_pair, pairs, max_workers=2) == [3, 7]
 
 
 class TestSequentialFallback:

@@ -43,9 +43,7 @@ class TestRegistry:
         assert set(rule_ids()) == {
             "DET001", "DET002", "DET003", "DET004",
             "OBS001", "EXC001", "EXC002", "EXC003", "FLT001",
-            "DOC001", "DOC002", "DOC003", "NOQA001",
-            "SEED101", "SEED102", "SEED103",
-            "CON103",
+            "DOC001", "DOC002", "NOQA001",
         }
 
     def test_every_rule_is_described(self):

@@ -6,28 +6,24 @@ the determinism/invariant rule set fails tier-1 locally, not just CI.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.lint import render_text, run_lint
 
 
+@pytest.fixture(scope="module")
+def report():
+    """One full sweep of the repo, shared by every test below."""
+    return run_lint()
+
+
 class TestRepoIsLintClean:
-    def test_full_run_has_zero_findings(self):
-        report = run_lint()
+    def test_full_run_has_zero_findings(self, report):
         assert report.findings == [], (
             "repo violates its own lint rules:\n" + render_text(report)
         )
 
-    def test_full_run_covers_the_package_and_docs(self):
-        report = run_lint()
+    def test_full_run_covers_the_package_and_docs(self, report):
         assert report.files > 60  # src/repro modules + Markdown docs
         assert report.nodes > 10_000
         assert len(report.rules) >= 9
-
-    def test_flow_run_has_zero_findings(self):
-        """The whole-program SEED/CON analysis is also a zero gate."""
-        report = run_lint(flow=True)
-        assert report.findings == [], (
-            "repo violates its own flow rules:\n" + render_text(report)
-        )
-        assert report.flow is not None
-        assert report.flow["modules"] > 60
-        assert report.flow["call_edges"] > 1_000

@@ -60,6 +60,44 @@ class TestDET001:
         )
         assert _rules_hit(src) == set()
 
+    def test_argless_default_rng_flagged(self):
+        src = (
+            '"""m."""\nimport numpy as np\n\n'
+            "_RNG = np.random.default_rng()\n"
+        )
+        report = lint_text(src, root=FIXTURES, rules=["DET001"])
+        assert [f.rule for f in report.findings] == ["DET001"]
+        assert "ambient OS entropy" in report.findings[0].message
+
+    def test_explicit_none_and_seedsequence_flagged(self):
+        src = (
+            '"""m."""\nimport numpy as np\n\n'
+            "_A = np.random.default_rng(None)\n"
+            "_B = np.random.SeedSequence()\n"
+            "_C = np.random.SeedSequence(entropy=None)\n"
+        )
+        report = lint_text(src, root=FIXTURES, rules=["DET001"])
+        assert [(f.rule, f.line) for f in report.findings] == [
+            ("DET001", 4), ("DET001", 5), ("DET001", 6),
+        ]
+
+    def test_seeded_construction_clean(self):
+        src = (
+            '"""m."""\nimport numpy as np\n\n'
+            "_RNG = np.random.default_rng(7)\n"
+            "_SEQ = np.random.SeedSequence(7)\n"
+            "_KW = np.random.default_rng(seed=7)\n"
+        )
+        assert lint_text(src, root=FIXTURES, rules=["DET001"]).findings == []
+
+    def test_noqa_with_reason_suppresses(self):
+        src = (
+            '"""m."""\nimport numpy as np\n\n'
+            "_RNG = np.random.default_rng()"
+            "  # repro: noqa[DET001] -- fixture\n"
+        )
+        assert lint_text(src, root=FIXTURES, rules=["DET001"]).findings == []
+
 
 class TestDET002:
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Public-API surface tests: exports resolve, version exists, no drift."""
 
+import difflib
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -9,6 +11,8 @@ import sys
 import pytest
 
 import repro
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SUBPACKAGES = [
     "repro.core",
@@ -141,3 +145,49 @@ class TestStartUp:
             text=True, check=True,
         ).stdout
         assert out.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def api_generator():
+    """``tools/gen_api_reference.py``, imported as a module."""
+    path = ROOT / "tools" / "gen_api_reference.py"
+    spec = importlib.util.spec_from_file_location("gen_api_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestApiReference:
+    """docs/API.md is generated: it must equal what its generator renders."""
+
+    def test_api_md_matches_the_generator(self, api_generator):
+        committed = (ROOT / "docs" / "API.md").read_text()
+        rendered = api_generator.render()
+        if committed != rendered:
+            diff = difflib.unified_diff(
+                committed.splitlines(), rendered.splitlines(),
+                "docs/API.md", "tools/gen_api_reference.py",
+                lineterm="", n=1,
+            )
+            pytest.fail(
+                "docs/API.md is stale; regenerate it with "
+                "`python tools/gen_api_reference.py`:\n"
+                + "\n".join(list(diff)[:40])
+            )
+
+    def test_every_public_module_has_a_section(self, api_generator):
+        package = ROOT / "src" / "repro"
+        public = {
+            ".".join(path.relative_to(package.parent).with_suffix("").parts)
+            for path in package.rglob("*.py")
+            if not any(
+                part.startswith("_")
+                for part in path.relative_to(package).parts
+            )
+        }
+        assert "repro.lint.engine" in public
+        missing = sorted(public - set(api_generator.MODULES))
+        assert not missing, (
+            f"public modules without a docs/API.md section: {missing}; add "
+            "them to SECTIONS in tools/gen_api_reference.py and regenerate"
+        )

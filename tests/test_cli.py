@@ -500,14 +500,12 @@ class TestLint:
         assert code == 0
         capsys.readouterr()
 
-    def test_graph_with_root_writes_dot(self, tmp_path, capsys):
-        graph = tmp_path / "calls.dot"
-        code = main(
-            ["lint", "--root", self.FIXTURES, "--flow", "--graph", str(graph)]
-        )
-        assert code == 1  # the fixture repo has findings
-        assert graph.read_text().startswith("digraph")
-        assert "call graph written" in capsys.readouterr().err
+    @pytest.mark.parametrize("flags", [["--flow"], ["--graph", "x.dot"]])
+    def test_flow_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_out_writes_report_file(self, tmp_path, capsys):
         out = tmp_path / "lint.json"

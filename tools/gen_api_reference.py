@@ -3,8 +3,11 @@
 
 Walks every public module of :mod:`repro` grouped by subpackage, collects
 the signatures and first docstring paragraphs of everything in ``__all__``,
-and renders one Markdown reference with a table of contents.  Regenerate
-after API changes:
+and renders one Markdown reference with a table of contents.  The output
+is the same on every run (object addresses are dropped from reprs), and
+``tests/test_api.py`` fails when the committed file differs from it or
+when a public module is missing from :data:`SECTIONS`.  Regenerate after
+API changes:
 
     python tools/gen_api_reference.py
 """
@@ -168,17 +171,13 @@ SECTIONS = [
     ),
     (
         "repro.lint — static analysis",
-        "The determinism/invariant lint engine, its per-module and "
-        "whole-program (flow) rule sets, the project symbol table and "
-        "call graph, and report/baseline handling; see docs/LINTING.md "
-        "for the rule catalog.",
+        "The determinism/invariant lint engine, its code and doc rule "
+        "sets, and report/baseline handling; see docs/LINTING.md for the "
+        "rule catalog.",
         [
             "repro.lint.engine",
-            "repro.lint.symbols",
-            "repro.lint.callgraph",
             "repro.lint.rules",
             "repro.lint.docrules",
-            "repro.lint.flowrules",
             "repro.lint.report",
         ],
     ),
@@ -191,6 +190,9 @@ SECTIONS = [
 
 MODULES = [module for _, _, modules in SECTIONS for module in modules]
 
+#: The ``at 0x...`` part of a default repr, which changes on every run.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
+
 
 def first_paragraph(doc: str | None) -> str:
     if not doc:
@@ -201,7 +203,7 @@ def first_paragraph(doc: str | None) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return ""
 
@@ -247,12 +249,13 @@ def render_module(module_name: str) -> list[str]:
         else:
             lines.append(f"#### data `{name}`")
             lines.append("")
-            lines.append(f"`{obj!r}`"[:300])
+            lines.append(f"`{_ADDRESS.sub('', repr(obj))}`"[:300])
             lines.append("")
     return lines
 
 
-def main() -> None:
+def render() -> str:
+    """The full text of docs/API.md."""
     out = [
         "# API reference",
         "",
@@ -274,10 +277,15 @@ def main() -> None:
         out.append("")
         for module in modules:
             out.extend(render_module(module))
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
+    text = render()
     target = ROOT / "docs" / "API.md"
     target.parent.mkdir(exist_ok=True)
-    target.write_text("\n".join(out) + "\n")
-    print(f"wrote {target} ({len(out)} lines)")
+    target.write_text(text)
+    print(f"wrote {target} ({len(text.splitlines())} lines)")
 
 
 if __name__ == "__main__":
