@@ -112,12 +112,12 @@ def validation_mode_ablation(dataset):
     return rows
 
 
-def test_ablation_schedules(report):
+def test_ablation_schedules(golden):
     dataset, schedule_rows = schedule_ablation()
     layout_rows = layout_ablation(dataset)
     validation_rows = validation_mode_ablation(dataset)
-    report(
-        "ablation_cvb",
+    golden(
+        "benchmarks/results/ablation_cvb.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -144,7 +144,7 @@ def test_ablation_schedules(report):
                     ["validation", "blocks", "achieved err"], validation_rows
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     by_schedule = {row[0]: row for row in schedule_rows}

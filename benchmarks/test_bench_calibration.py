@@ -51,10 +51,10 @@ def evaluate():
     return rows
 
 
-def test_corollary1_constant_calibration(report):
+def test_corollary1_constant_calibration(golden):
     rows = evaluate()
-    report(
-        "calibration_corollary1",
+    golden(
+        "benchmarks/results/calibration_corollary1.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -70,7 +70,7 @@ def test_corollary1_constant_calibration(report):
                     rows,
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     c_hats = [row[4] for row in rows]

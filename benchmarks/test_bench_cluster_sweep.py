@@ -41,10 +41,10 @@ def evaluate():
     return rows
 
 
-def test_cluster_fraction_sweep(report):
+def test_cluster_fraction_sweep(golden):
     rows = evaluate()
-    report(
-        "ablation_cluster_sweep",
+    golden(
+        "benchmarks/results/ablation_cluster_sweep.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -60,7 +60,7 @@ def test_cluster_fraction_sweep(report):
                     rows,
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     errors = [row[1] for row in rows]

@@ -52,10 +52,10 @@ def evaluate():
     return rows
 
 
-def test_density_accuracy(report):
+def test_density_accuracy(golden):
     rows = evaluate()
-    report(
-        "density_accuracy",
+    golden(
+        "benchmarks/results/density_accuracy.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -78,7 +78,7 @@ def test_density_accuracy(report):
                     rows,
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     for name, _t, _e, rel_err, _dt, _de, converged in rows:

@@ -51,10 +51,10 @@ def evaluate():
     return rows
 
 
-def test_design_effect_predicts_layout_cost(report):
+def test_design_effect_predicts_layout_cost(golden):
     rows = evaluate()
-    report(
-        "design_effect",
+    golden(
+        "benchmarks/results/design_effect.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -72,7 +72,7 @@ def test_design_effect_predicts_layout_cost(report):
                     rows,
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     rhos = [row[1] for row in rows]

@@ -37,7 +37,7 @@ def evaluate():
     return truths, results
 
 
-def test_distinct_estimator_shootout(report):
+def test_distinct_estimator_shootout(golden):
     truths, results = evaluate()
 
     ratio_rows, rel_rows = [], []
@@ -57,8 +57,8 @@ def test_distinct_estimator_shootout(report):
             [est_name] + [round(rels[ds], 4) for ds in DATASETS]
         )
 
-    report(
-        "distinct_estimators",
+    golden(
+        "benchmarks/results/distinct_estimators.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -74,7 +74,7 @@ def test_distinct_estimator_shootout(report):
                 "Rel-error (|d-e|/n):\n"
                 + reporting.format_table(["estimator", *DATASETS], rel_rows),
             ]
-        ),
+        ) + "\n",
     )
 
     # GEE's worst case beats the unsafe extremes.

@@ -86,7 +86,7 @@ def adversarial_demo():
     }
 
 
-def test_example1_metric_comparison(report):
+def test_example1_metric_comparison(golden):
     demo = adversarial_demo()
     rows = analytic_table()
     text = "\n\n".join(
@@ -104,7 +104,7 @@ def test_example1_metric_comparison(report):
             ),
         ]
     )
-    report("example1_theorem1_3", text)
+    golden("benchmarks/results/example1_theorem1_3.txt", text + "\n")
 
     factors = {name: factor for name, _, factor in rows}
     assert abs(factors["avg-bounded (Thm 1.2)"] - 13.5) < 0.1

@@ -21,7 +21,7 @@ def compute():
     }
 
 
-def test_example2_metric_values(report):
+def test_example2_metric_values(golden):
     metrics = compute()
     text = "\n\n".join(
         [
@@ -38,7 +38,7 @@ def test_example2_metric_values(report):
             ),
         ]
     )
-    report("example2_metrics", text)
+    golden("benchmarks/results/example2_metrics.txt", text + "\n")
 
     assert metrics["avg"] == 16.8
     assert abs(metrics["var"] - 27.25) < 0.01
@@ -47,7 +47,7 @@ def test_example2_metric_values(report):
     assert metrics["avg"] <= metrics["var"] <= metrics["max"]
 
 
-def test_example2_gap_grows_with_k(report):
+def test_example2_gap_grows_with_k(golden):
     """The paper's closing remark: as k grows, the gap between the metrics
     can grow unboundedly.  One oversized bucket among k demonstrates it."""
     def sweep():
@@ -61,9 +61,9 @@ def test_example2_gap_grows_with_k(report):
         return rows
 
     rows = sweep()
-    report(
-        "example2_gap_vs_k",
-        reporting.format_table(["k", "avg", "var", "max"], rows),
+    golden(
+        "benchmarks/results/example2_gap_vs_k.txt",
+        reporting.format_table(["k", "avg", "var", "max"], rows) + "\n",
     )
     gaps = [row[3] / row[1] for row in rows]  # max / avg
     assert gaps[0] < gaps[1] < gaps[2]

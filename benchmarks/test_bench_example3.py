@@ -24,7 +24,7 @@ def compute():
     }
 
 
-def test_example3_tradeoff_numbers(report):
+def test_example3_tradeoff_numbers(golden):
     values = compute()
     rows = [
         ("sample size (k=500, f=0.2)", "~1 Meg", f"{values['r_k500_f02']:,}"),
@@ -32,8 +32,8 @@ def test_example3_tradeoff_numbers(report):
         ("max buckets (n=20M, r=1M, f=0.25)", "<= 800", values["k_max"]),
         ("error bound (n=25M, r=800K, k=200)", "<= 14%", f"{values['f_bound']:.1%}"),
     ]
-    report(
-        "example3_tradeoffs",
+    golden(
+        "benchmarks/results/example3_tradeoffs.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -43,7 +43,7 @@ def test_example3_tradeoff_numbers(report):
                 ),
                 reporting.format_table(["determination", "paper", "exact"], rows),
             ]
-        ),
+        ) + "\n",
     )
 
     assert 0.9 * MEG <= values["r_k500_f02"] <= 1.4 * MEG
@@ -52,7 +52,7 @@ def test_example3_tradeoff_numbers(report):
     assert 0.12 <= values["f_bound"] <= 0.15
 
 
-def test_example3_independence_from_n(report):
+def test_example3_independence_from_n(golden):
     """The headline property: r is flat in n (log factor only)."""
     def sweep():
         return [
@@ -61,8 +61,9 @@ def test_example3_independence_from_n(report):
         ]
 
     rows = sweep()
-    report(
-        "example3_n_independence",
-        reporting.format_table(["n", "required r (k=500, f=0.2)"], rows),
+    golden(
+        "benchmarks/results/example3_n_independence.txt",
+        reporting.format_table(["n", "required r (k=500, f=0.2)"], rows)
+        + "\n",
     )
     assert rows[-1][1] < 2 * rows[0][1]  # 10^6x more data, < 2x more samples

@@ -26,29 +26,35 @@ def _render(result, name):
     )
 
 
-def test_fig11_zipf_rel_error(report):
+def test_fig11_zipf_rel_error(golden):
     result = figures.figure11_12("zipf2", seed=0)
-    report("fig11", _render(result, "Figure 11 (Z=2)"))
+    golden(
+        "benchmarks/results/fig11.txt",
+        _render(result, "Figure 11 (Z=2)") + "\n",
+    )
     # Zipf: rel-error of the estimate stays minuscule everywhere.
     assert max(result["err_estimate"].y) < 0.01
 
 
-def test_fig12_unif_dup_rel_error(report):
+def test_fig12_unif_dup_rel_error(golden):
     result = figures.figure11_12("unif_dup", seed=0)
-    report("fig12", _render(result, "Figure 12 (Unif/Dup)"))
+    golden(
+        "benchmarks/results/fig12.txt",
+        _render(result, "Figure 12 (Unif/Dup)") + "\n",
+    )
     errs = result["err_estimate"].y
     # Small throughout and shrinking as the rate grows.
     assert max(errs) < 0.1
     assert errs[-1] < errs[0]
 
 
-def test_fig11_vs_12_zipf_is_easier(report):
+def test_fig11_vs_12_zipf_is_easier(golden):
     """The paper's cross-figure observation: prediction is far more accurate
     for the Zipf distribution than for Unif/Dup at low sampling rates."""
     zipf = figures.figure11_12("zipf2", seed=1)
     unif = figures.figure11_12("unif_dup", seed=1)
-    report(
-        "fig11_12_comparison",
+    golden(
+        "benchmarks/results/fig11_12_comparison.txt",
         reporting.format_table(
             ["rate", "rel_err_zipf2", "rel_err_unif_dup"],
             list(
@@ -58,7 +64,7 @@ def test_fig11_vs_12_zipf_is_easier(report):
                     unif["err_estimate"].y,
                 )
             ),
-        ),
+        ) + "\n",
     )
     # At the smallest rate Zipf is the clearly easier case.
     assert zipf["err_estimate"].y[0] < unif["err_estimate"].y[0]

@@ -9,7 +9,7 @@ rows that must be sampled falls roughly like log(n)/n as the table grows
 from repro.experiments import figures, reporting
 
 
-def test_fig3_sampling_rate_falls_with_n(report):
+def test_fig3_sampling_rate_falls_with_n(golden):
     result = figures.figures_3_and_4(seed=1)
     text = "\n\n".join(
         [
@@ -26,7 +26,7 @@ def test_fig3_sampling_rate_falls_with_n(report):
             ),
         ]
     )
-    report("fig3_4", text)
+    golden("benchmarks/results/fig3_4.txt", text + "\n")
 
     rates = result["rate"].y
     blocks = result["blocks"].y

@@ -10,12 +10,8 @@ import numpy as np
 from repro.experiments import figures, reporting
 
 
-def test_fig5_error_convergence_is_distribution_independent(
-    report, trial_workers, trial_chunk_size
-):
-    result = figures.figure5(
-        seed=0, workers=trial_workers, chunk_size=trial_chunk_size
-    )
+def test_fig5_error_convergence_is_distribution_independent(golden):
+    result = figures.figure5(seed=0)
     text = "\n\n".join(
         [
             reporting.paper_note(
@@ -30,7 +26,7 @@ def test_fig5_error_convergence_is_distribution_independent(
             ),
         ]
     )
-    report("fig5", text)
+    golden("benchmarks/results/fig5.txt", text + "\n")
 
     for series in result["series"]:
         # Each curve falls substantially from the lowest to highest rate.

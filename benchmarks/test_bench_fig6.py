@@ -8,7 +8,7 @@ linear in k.
 from repro.experiments import figures, reporting
 
 
-def test_fig6_required_rate_linear_in_bins(report):
+def test_fig6_required_rate_linear_in_bins(golden):
     result = figures.figure6(seed=0)
     series = result["series"]
     text = "\n\n".join(
@@ -23,7 +23,7 @@ def test_fig6_required_rate_linear_in_bins(report):
             ),
         ]
     )
-    report("fig6", text)
+    golden("benchmarks/results/fig6.txt", text + "\n")
 
     rates = series.y
     bins = series.x

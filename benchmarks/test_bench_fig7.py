@@ -11,7 +11,7 @@ import numpy as np
 from repro.experiments import figures, reporting
 
 
-def test_fig7_clustering_requires_more_sampling(report):
+def test_fig7_clustering_requires_more_sampling(golden):
     result = figures.figure7(seed=0)
     text = "\n\n".join(
         [
@@ -27,7 +27,7 @@ def test_fig7_clustering_requires_more_sampling(report):
             ),
         ]
     )
-    report("fig7", text)
+    golden("benchmarks/results/fig7.txt", text + "\n")
 
     random_series, partial_series = result["series"]
     assert random_series.label == "random"

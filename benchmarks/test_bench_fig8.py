@@ -10,7 +10,7 @@ The row-level sampling fraction stays roughly flat.
 from repro.experiments import figures, reporting
 
 
-def test_fig8_blocks_grow_with_record_size(report):
+def test_fig8_blocks_grow_with_record_size(golden):
     result = figures.figure8(seed=0)
     text = "\n\n".join(
         [
@@ -30,7 +30,7 @@ def test_fig8_blocks_grow_with_record_size(report):
             ),
         ]
     )
-    report("fig8", text)
+    golden("benchmarks/results/fig8.txt", text + "\n")
 
     blocks = result["blocks"].y
     sizes = result["blocks"].x

@@ -26,9 +26,12 @@ def _render(result, name):
     )
 
 
-def test_fig9_zipf_distinct_values(report):
+def test_fig9_zipf_distinct_values(golden):
     result = figures.figure9_10("zipf2", seed=0)
-    report("fig9", _render(result, "Figure 9 (Z=2)"))
+    golden(
+        "benchmarks/results/fig9.txt",
+        _render(result, "Figure 9 (Z=2)") + "\n",
+    )
 
     real = result["num_distinct"]
     # At every rate the GEE estimate is at least as close to the truth as
@@ -37,9 +40,12 @@ def test_fig9_zipf_distinct_values(report):
         assert abs(est - real) <= abs(samp - real) + 1e-9
 
 
-def test_fig10_unif_dup_distinct_values(report):
+def test_fig10_unif_dup_distinct_values(golden):
     result = figures.figure9_10("unif_dup", seed=0)
-    report("fig10", _render(result, "Figure 10 (Unif/Dup)"))
+    golden(
+        "benchmarks/results/fig10.txt",
+        _render(result, "Figure 10 (Unif/Dup)") + "\n",
+    )
 
     real = result["num_distinct"]
     # The in-sample count converges to the truth from below.

@@ -41,10 +41,10 @@ def run_comparison():
     }
 
 
-def test_gmp_vs_cvb(report):
+def test_gmp_vs_cvb(golden):
     result = run_comparison()
-    report(
-        "gmp_baseline",
+    golden(
+        "benchmarks/results/gmp_baseline.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -58,7 +58,7 @@ def test_gmp_vs_cvb(report):
                     ["metric", "value"], sorted(result.items())
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     # Both produce usable histograms...

@@ -81,10 +81,10 @@ def evaluate():
     return rows
 
 
-def test_page_sampler_ablation(report):
+def test_page_sampler_ablation(golden):
     rows = evaluate()
-    report(
-        "ablation_page_samplers",
+    golden(
+        "benchmarks/results/ablation_page_samplers.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -97,7 +97,7 @@ def test_page_sampler_ablation(report):
                     ["layout", "uniform", "bernoulli", "systematic"], rows
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     by_layout = {row[0]: row for row in rows}

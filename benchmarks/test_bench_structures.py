@@ -53,10 +53,10 @@ def evaluate():
     return rows
 
 
-def test_structure_shootout(report):
+def test_structure_shootout(golden):
     rows = evaluate()
-    report(
-        "structure_shootout",
+    golden(
+        "benchmarks/results/structure_shootout.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -70,7 +70,7 @@ def test_structure_shootout(report):
                     ["dataset", *STRUCTURES.keys()], rows
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     by_dataset = {row[0]: dict(zip(STRUCTURES.keys(), row[1:])) for row in rows}

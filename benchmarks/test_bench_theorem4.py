@@ -50,11 +50,11 @@ def error_scaling_series():
     return series
 
 
-def test_theorem4_guarantee_holds(report):
+def test_theorem4_guarantee_holds(golden):
     rows = deviance_trial_rates()
     scaling = error_scaling_series()
-    report(
-        "theorem4_validation",
+    golden(
+        "benchmarks/results/theorem4_validation.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -68,7 +68,7 @@ def test_theorem4_guarantee_holds(report):
                 ),
                 reporting.format_table(["r", "mean measured f"], scaling),
             ]
-        ),
+        ) + "\n",
     )
 
     for f, _r, mean_f, violations in rows:

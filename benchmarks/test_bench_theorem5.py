@@ -49,12 +49,12 @@ def evaluate():
     return rows
 
 
-def test_theorem5_separation_guarantee(report):
+def test_theorem5_separation_guarantee(golden):
     rows = evaluate()
     thm4 = bounds.theorem4_sample_size(N, K, 0.5 * N / K, GAMMA)
     thm5 = bounds.theorem5_sample_size(N, K, 0.5 * N / K, GAMMA)
-    report(
-        "theorem5_validation",
+    golden(
+        "benchmarks/results/theorem5_validation.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -71,7 +71,7 @@ def test_theorem5_separation_guarantee(report):
                     rows,
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     for f, _r, delta, mean_sep, violations in rows:

@@ -54,14 +54,14 @@ def useful_f_rows():
     return rows
 
 
-def test_theorem6_comparison(report):
+def test_theorem6_comparison(golden):
     best = best_case_rows()
     useful = useful_f_rows()
     log_k_tbl = [
         (f, bounds.gmp_required_log_k(f, c=4.0)) for f in (0.43, 0.35, 0.2, 0.1)
     ]
-    report(
-        "theorem6_gmp_comparison",
+    golden(
+        "benchmarks/results/theorem6_gmp_comparison.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -84,7 +84,7 @@ def test_theorem6_comparison(report):
                 "k that GMP needs at c = 4 (Example 4.4):\n"
                 + reporting.format_table(["target f", "ln(k) needed"], log_k_tbl),
             ]
-        ),
+        ) + "\n",
     )
 
     # Example 4.2: validity requires tera-scale+ tables even at c=4.

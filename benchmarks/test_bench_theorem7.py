@@ -46,10 +46,10 @@ def flag_rates():
     return s, rows
 
 
-def test_theorem7_separation(report):
+def test_theorem7_separation(golden):
     s, rows = flag_rates()
-    report(
-        "theorem7_cross_validation",
+    golden(
+        "benchmarks/results/theorem7_cross_validation.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -62,7 +62,7 @@ def test_theorem7_separation(report):
                     ["histogram", "built-in deviation", "flag rate"], rows
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     by_label = {label: rate for label, _, rate in rows}

@@ -35,12 +35,12 @@ def estimator_table():
     return pair, rows
 
 
-def test_theorem8_no_estimator_escapes(report):
+def test_theorem8_no_estimator_escapes(golden):
     pair, rows = estimator_table()
     theory = bounds.theorem8_error_lower_bound(N, R, GAMMA)
     cf_rate = empirical_collision_free_rate(pair, trials=300, rng=0)
-    report(
-        "theorem8_lower_bound",
+    golden(
+        "benchmarks/results/theorem8_lower_bound.txt",
         "\n\n".join(
             [
                 reporting.paper_note(
@@ -56,7 +56,7 @@ def test_theorem8_no_estimator_escapes(report):
                     ["estimator", "median forced ratio error"], rows
                 ),
             ]
-        ),
+        ) + "\n",
     )
 
     # Indistinguishability really occurs at least gamma of the time.
@@ -71,14 +71,14 @@ def test_theorem8_no_estimator_escapes(report):
     assert by_name["naive"] > by_name["gee"]
 
 
-def test_theorem8_haas_setting(report):
+def test_theorem8_haas_setting(golden):
     """Paper Section 6.1: at r = 0.2n and gamma = 0.5 the bound is ~1.86,
     in close accordance with Haas et al's measured errors (avg 1.33,
     max 2.86 over 24 high-skew datasets)."""
     n = 10**6
     value = bounds.theorem8_error_lower_bound(n, int(0.2 * n), 0.5)
-    report(
-        "theorem8_haas",
+    golden(
+        "benchmarks/results/theorem8_haas.txt",
         reporting.format_table(
             ["quantity", "value"],
             [
@@ -86,6 +86,6 @@ def test_theorem8_haas_setting(report):
                 ("Haas et al measured avg", 1.33),
                 ("Haas et al measured max", 2.86),
             ],
-        ),
+        ) + "\n",
     )
     assert 1.8 <= value <= 1.9

@@ -3,8 +3,9 @@
 
 Regenerates the data series behind Figures 3-12 at a chosen scale and
 prints them as tables next to the paper's expectation.  This is the
-human-driven twin of the benchmark suite (`pytest benchmarks/` adds the
-paper's shape assertions on top of the same series builders).
+human-driven twin of the paper suites in `benchmarks/`, which plain
+`pytest` runs: they add the paper's shape assertions on top of the same
+series builders.
 
 Run:  python examples/reproduce_paper.py [small|medium|paper] [seed]
 

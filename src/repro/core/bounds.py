@@ -76,6 +76,22 @@ def _check_fraction(f: float) -> None:
         raise ParameterError(f"error fraction f must be in (0, 1], got {f}")
 
 
+def _sample_size(numerator: float, denominator: float = 1.0) -> int:
+    """``ceil(numerator / denominator)``, the form of every sample size here.
+
+    Parameters at the edge of the float range (an ``f`` whose square
+    underflows to 0, a ``gamma`` so small that ``ln(1/gamma)`` overflows)
+    make the quotient infinite; no sample of that size exists.
+    """
+    size = numerator / denominator if denominator else math.inf
+    if not math.isfinite(size):
+        raise InfeasibleBoundError(
+            f"the required sample size {numerator!r} / {denominator!r} "
+            "is not a finite number"
+        )
+    return math.ceil(size)
+
+
 # ----------------------------------------------------------------------
 # Theorem 4 / Corollary 1: delta-deviance
 # ----------------------------------------------------------------------
@@ -91,8 +107,9 @@ def theorem4_sample_size(n: int, k: int, delta: float, gamma: float) -> int:
         raise ParameterError(
             f"Theorem 4 assumes delta <= n/k; got delta={delta} > {n / k:g}"
         )
-    r = 4.0 * n * n * math.log(2.0 * n / gamma) / (k * delta * delta)
-    return math.ceil(r)
+    return _sample_size(
+        4.0 * n * n * math.log(2.0 * n / gamma), k * delta * delta
+    )
 
 
 def theorem4_error(n: int, k: int, r: int, gamma: float) -> float:
@@ -114,7 +131,7 @@ def corollary1_sample_size(n: int, k: int, f: float, gamma: float) -> int:
     _check_positive(n=n, k=k)
     _check_fraction(f)
     _check_gamma(gamma)
-    return math.ceil(4.0 * k * math.log(2.0 * n / gamma) / (f * f))
+    return _sample_size(4.0 * k * math.log(2.0 * n / gamma), f * f)
 
 
 def corollary1_error_fraction(n: int, k: int, r: int, gamma: float) -> float:
@@ -154,7 +171,9 @@ def theorem5_sample_size(n: int, k: int, delta: float, gamma: float) -> int:
         raise ParameterError(
             f"Theorem 5 assumes delta <= n/k; got delta={delta} > {n / k:g}"
         )
-    return math.ceil(12.0 * n * n * math.log(2.0 * k / gamma) / (delta * delta))
+    return _sample_size(
+        12.0 * n * n * math.log(2.0 * k / gamma), delta * delta
+    )
 
 
 def theorem5_separation(n: int, k: int, r: int, gamma: float) -> float:
@@ -175,7 +194,7 @@ def theorem7_reject_sample_size(k: int, f: float, gamma: float) -> int:
     _check_positive(k=k)
     _check_fraction(f)
     _check_gamma(gamma)
-    return math.ceil(4.0 * k * math.log(1.0 / gamma) / (f * f))
+    return _sample_size(4.0 * k * math.log(1.0 / gamma), f * f)
 
 
 def theorem7_accept_sample_size(k: int, f: float, gamma: float) -> int:
@@ -185,7 +204,7 @@ def theorem7_accept_sample_size(k: int, f: float, gamma: float) -> int:
     _check_positive(k=k)
     _check_fraction(f)
     _check_gamma(gamma)
-    return math.ceil(16.0 * k * math.log(k / gamma) / (f * f))
+    return _sample_size(16.0 * k * math.log(k / gamma), f * f)
 
 
 def cross_validation_sample_size(k: int, f: float, gamma: float) -> int:
@@ -298,7 +317,7 @@ def gmp_theorem6(k: int, c: float, n: int) -> GMPBound:
         raise ParameterError(f"Theorem 6 requires c >= 4, got {c}")
     _check_positive(n=n)
     log_k = math.log(k)
-    r = math.ceil(c * k * log_k * log_k)
+    r = _sample_size(c * k * log_k * log_k)
     f = (c * log_k * log_k) ** (-1.0 / 6.0)
     gamma = k ** (1.0 - math.sqrt(c)) + n ** (-1.0 / 3.0)
     n_min = r**3
@@ -381,7 +400,7 @@ def theorem8_sample_size_for_error(n: int, error: float, gamma: float) -> int:
         raise ParameterError(
             f"ratio error is always >= 1; got target {error}"
         )
-    return math.ceil(n * math.log(1.0 / gamma) / (error * error))
+    return _sample_size(n * math.log(1.0 / gamma), error * error)
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +420,7 @@ def without_replacement_sample_size(r_with: int, n: int) -> int:
     with-replacement draws, so prescribing that (smaller) size is safe.
     """
     _check_positive(r_with=r_with, n=n)
-    corrected = r_with / (1.0 + (r_with - 1.0) / n)
-    return min(n, math.ceil(corrected))
+    return min(n, _sample_size(r_with, 1.0 + (r_with - 1.0) / n))
 
 
 def effective_with_replacement_size(r_without: int, n: int) -> float:
@@ -429,4 +447,4 @@ def initial_blocks(n: int, k: int, f: float, gamma: float, b: int) -> int:
     Corollary 1 (uncorrelated pages make one page worth ``b`` tuples)."""
     _check_positive(b=b)
     r = corollary1_sample_size(n, k, f, gamma)
-    return max(1, math.ceil(r / b))
+    return max(1, _sample_size(r, b))

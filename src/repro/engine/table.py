@@ -19,7 +19,11 @@ __all__ = ["Column", "Table"]
 
 
 class Column:
-    """A named attribute with its value multiset."""
+    """A named attribute with its value multiset.
+
+    Float values must be finite: NaN has no place in the domain order that
+    every histogram, sample and estimate is built on.
+    """
 
     def __init__(self, name: str, values: np.ndarray):
         if not name:
@@ -28,6 +32,10 @@ class Column:
         if values.ndim != 1:
             raise ParameterError(
                 f"column values must be one-dimensional, got shape {values.shape}"
+            )
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise ParameterError(
+                f"column {name!r} holds NaN or infinite values"
             )
         self.name = name
         self._values = values

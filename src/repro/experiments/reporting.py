@@ -1,8 +1,8 @@
 """Plain-text reporting for experiment series.
 
-Benchmarks print the same rows/series the paper's figures plot; these
-helpers render them as aligned ASCII tables so ``pytest benchmarks/ -s``
-output is directly comparable with the paper.
+Benchmarks render the same rows/series the paper's figures plot; these
+helpers lay them out as aligned ASCII tables, so the committed
+``benchmarks/results/*.txt`` files read directly against the paper.
 """
 
 from __future__ import annotations

@@ -105,17 +105,15 @@ def mean_error_at_rate(
     trials: int,
     rng: RngLike = None,
     metric: str = "fractional",
-    statistic: str = "median",
     workers: int | None = None,
     chunk_size: int | None = None,
     pool: TrialPool | None = None,
 ) -> float:
     """Central :func:`error_at_rate` over *trials* independent samples.
 
-    Defaults to the median: the fractional max error has a heavy upper tail
-    (one under-sampled separator range dominates the max), and a mean over a
-    handful of trials chases that tail.  Pass ``statistic="mean"`` for the
-    raw average.
+    The median, not the mean: the fractional max error has a heavy upper
+    tail (one under-sampled separator range dominates the max), and a mean
+    over a handful of trials chases that tail.
 
     Trials fan out over *workers* processes (or an existing *pool*); each
     trial's stream derives only from its own spawned seed, so any worker
@@ -123,10 +121,6 @@ def mean_error_at_rate(
     """
     if trials <= 0:
         raise ParameterError(f"trials must be positive, got {trials}")
-    if statistic not in ("median", "mean"):
-        raise ParameterError(
-            f"statistic must be 'median' or 'mean', got {statistic!r}"
-        )
     seeds = spawn_seeds(rng, trials)
     fn = partial(
         _error_at_rate_trial, (heapfile, sorted_values, rate, k, metric)
@@ -134,7 +128,7 @@ def mean_error_at_rate(
     errors = run_trials(
         fn, seeds, max_workers=workers, chunk_size=chunk_size, pool=pool
     )
-    return float(np.median(errors) if statistic == "median" else np.mean(errors))
+    return float(np.median(errors))
 
 
 def _probe_trial(task: tuple, seed: int) -> TrialRecord:

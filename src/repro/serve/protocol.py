@@ -17,6 +17,7 @@ re-typed without the doc (and this docstring's schema) moving in lockstep.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ..exceptions import ReproError
@@ -50,6 +51,7 @@ class EndpointSpec:
 
 
 _NUMERIC = (int, float)
+_FLOAT_MAX = sys.float_info.max
 
 #: Optional-field declarations, keyed by endpoint name.
 OPTIONAL_FIELDS: dict[str, dict] = {
@@ -197,7 +199,8 @@ def _checked(op: str, field: str, value: object, types) -> object:
 
     ``json.loads`` accepts ``NaN`` and ``Infinity``; a non-finite bound
     would otherwise flow into the estimators and come back as a plausible
-    row count.
+    row count.  It also returns integers of any size, and a numeric field
+    must hold one that converts to a float.
     """
     if not isinstance(value, types) or isinstance(value, bool):
         raise ProtocolError(
@@ -207,5 +210,11 @@ def _checked(op: str, field: str, value: object, types) -> object:
     if isinstance(value, float) and not math.isfinite(value):
         raise ProtocolError(
             f"field {field!r} of op {op!r} must be finite, got {value!r}"
+        )
+    if (types is _NUMERIC and isinstance(value, int)
+            and abs(value) > _FLOAT_MAX):
+        raise ProtocolError(
+            f"field {field!r} of op {op!r} must be finite, got an integer "
+            "beyond the float range"
         )
     return value

@@ -32,7 +32,6 @@ worker counts, and retries do not perturb the sampler's own RNG stream.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,10 +300,10 @@ class RetryPolicy:
         across pages the way real jitter is.
     seed:
         Root of the jitter stream.
-    sleep:
-        When True, really ``time.sleep`` the backoff delays.  Off by
-        default: delays are charged to ``IOStats.simulated_latency_s`` (and
-        to the read budget) without slowing the simulation down.
+
+    Backoff delays are never slept: they are charged to
+    ``IOStats.simulated_latency_s`` (and to the read budget) without
+    slowing the simulation down.
     """
 
     max_attempts: int = 4
@@ -312,7 +311,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     jitter: float = 0.1
     seed: int = 0
-    sleep: bool = False
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -607,8 +605,6 @@ def read_page_resilient(
             heapfile.iostats.record_latency(delay)
             if budget is not None:
                 budget.charge_delay(delay)
-            if retry.sleep and delay > 0:
-                time.sleep(delay)
     heapfile.iostats.record_skip(page_id)
     if budget is not None:
         budget.charge_skip()

@@ -31,7 +31,8 @@ class RangeQuery:
     hi: float
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        # Negated so that a NaN bound, which compares false, is rejected too.
+        if not self.lo <= self.hi:
             raise ParameterError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
 
     def selects(self, values: np.ndarray) -> np.ndarray:

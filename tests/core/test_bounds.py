@@ -275,3 +275,27 @@ class TestInitialBlocks:
 
     def test_at_least_one_block(self):
         assert bounds.initial_blocks(100, 2, 1.0, 0.5, b=10**6) == 1
+
+
+class TestInfiniteSampleSizes:
+    """Parameters at the float limits make a sample size infinite; that is
+    an unsatisfiable bound, not a ZeroDivisionError or OverflowError."""
+
+    @pytest.mark.parametrize(
+        "bound, args",
+        [
+            (bounds.corollary1_sample_size, (1000, 10, 5e-324, 0.01)),
+            (bounds.corollary1_sample_size, (1000, 10, 0.1, 5e-324)),
+            (bounds.corollary1_sample_size, (1000, 10, 1e-200, 0.01)),
+            (bounds.theorem4_sample_size, (1000, 10, 5e-324, 0.01)),
+            (bounds.theorem5_sample_size, (1000, 10, 5e-324, 0.01)),
+            (bounds.theorem7_reject_sample_size, (10, 5e-324, 0.01)),
+            (bounds.theorem7_accept_sample_size, (10, 0.1, 5e-324)),
+            (bounds.theorem8_sample_size_for_error, (10**308, 1.5, 1e-300)),
+            (bounds.gmp_theorem6, (10, math.inf, 1000)),
+            (bounds.initial_blocks, (1000, 10, 5e-324, 0.01, 50)),
+        ],
+    )
+    def test_infeasible(self, bound, args):
+        with pytest.raises(InfeasibleBoundError, match="not a finite number"):
+            bound(*args)

@@ -21,6 +21,15 @@ class TestColumn:
         with pytest.raises(ParameterError):
             Column("x", np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected_by_name(self, bad):
+        """Rejected at construction, not later by whichever page a sample
+        happens to read."""
+        values = np.arange(200_000, dtype=np.float64)
+        values[123_456] = bad
+        with pytest.raises(ParameterError, match="column 'price'"):
+            Table("t", {"price": values})
+
 
 class TestTable:
     def test_add_and_fetch(self):

@@ -14,7 +14,6 @@ Two guarantees are locked down here:
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -186,13 +185,10 @@ class TestChaosGolden:
     """The fault path's report, pinned byte for byte.
 
     Rate 0 runs a corruption-only file (two pages skipped across the two
-    trials); rate 0.05 adds transient faults and retries.  Regenerate after
-    an intentional change with::
-
-        REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/experiments/test_chaos.py
+    trials); rate 0.05 adds transient faults and retries.
     """
 
-    def test_report_matches_golden(self):
+    def test_report_matches_golden(self, golden):
         result = chaos_sweep(
             fault_rates=(0.0, 0.05),
             n=20_000,
@@ -201,12 +197,7 @@ class TestChaosGolden:
             trials=2,
             seed=7,
         )
-        actual = format_chaos_report(result) + "\n"
-        path = GOLDEN_DIR / "chaos_report.txt"
-        if os.environ.get("REPRO_REGEN_GOLDEN"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(actual)
-        assert actual == path.read_text(), (
-            "chaos report drifted from its golden file; if the change is "
-            "intentional, regenerate with REPRO_REGEN_GOLDEN=1"
+        golden(
+            GOLDEN_DIR / "chaos_report.txt",
+            format_chaos_report(result) + "\n",
         )

@@ -233,16 +233,6 @@ class TestRunnerKernelEquivalence:
             )
             assert par == serial
 
-    def test_mean_error_at_rate_statistic_mean(self, heapfile_and_values):
-        hf, values = heapfile_and_values
-        serial = mean_error_at_rate(
-            hf, values, 0.1, 20, trials=4, rng=2, statistic="mean"
-        )
-        par = mean_error_at_rate(
-            hf, values, 0.1, 20, trials=4, rng=2, statistic="mean", workers=2
-        )
-        assert par == serial
-
     def test_required_blocks_for_error(self, heapfile_and_values):
         hf, values = heapfile_and_values
         serial = required_blocks_for_error(hf, values, 20, 0.25, trials=5, rng=3)

@@ -3,8 +3,10 @@
 These are the "does the math actually hold on data" tests: Monte-Carlo
 checks that the prescribed sample sizes deliver the promised deviations,
 that the cross-validation test separates good from bad histograms
-(Theorem 7), and that the Theorem 8 adversary defeats every estimator.
-Each uses small sizes and fixed seeds to stay fast and deterministic.
+(Theorem 7), and that the Theorem 8 bound shrinks with the sample.  That
+the Theorem 8 adversary defeats every estimator is asserted by
+``benchmarks/test_bench_theorem8.py``.  Each uses small sizes and fixed
+seeds to stay fast and deterministic.
 """
 
 import numpy as np
@@ -13,8 +15,7 @@ import pytest
 from repro.core import bounds
 from repro.core.error_metrics import max_error, relative_deviation
 from repro.core.histogram import EquiHeightHistogram
-from repro.distinct.bounds import adversarial_pair, forced_ratio_error
-from repro.distinct.estimators import ALL_ESTIMATORS
+from repro.distinct.bounds import adversarial_pair
 from repro.sampling.record_sampler import sample_with_replacement
 
 
@@ -91,19 +92,6 @@ class TestTheorem7Empirically:
 
 
 class TestTheorem8Empirically:
-    def test_every_estimator_defeated_by_the_adversary(self):
-        """No estimator in the library beats the indistinguishability bound
-        on the adversarial pair — the executable content of Theorem 8."""
-        n, r, gamma = 50_000, 30, 0.5
-        pair = adversarial_pair(n, r, gamma)
-        floor = 0.25 * pair.guaranteed_ratio
-        for estimator in ALL_ESTIMATORS:
-            errors = [
-                forced_ratio_error(pair, estimator, rng=seed)
-                for seed in range(8)
-            ]
-            assert np.median(errors) >= floor, estimator.name
-
     def test_bound_scales_with_sample_size(self):
         """Larger samples genuinely shrink the forced error (the sqrt(n/r)
         law), so the lower bound is about sampling, not a fixed wall."""

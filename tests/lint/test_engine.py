@@ -6,15 +6,13 @@ rule-subset scoping), baseline diffing (multiset semantics, round-trip,
 validation), deterministic rendering (text + schema-versioned JSON), and
 a golden full-run over the fixture mini-repo.
 
-Regenerate the golden report after intentional changes with::
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/lint/test_engine.py
+Regenerate the golden report after intentional changes with
+``REPRO_REGEN_GOLDEN=1`` (see the ``golden`` fixture in the root conftest).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 
 import pytest
@@ -187,15 +185,8 @@ class TestRendering:
 class TestGoldenFixtureRun:
     """The full fixture mini-repo, pinned as machine-readable output."""
 
-    def test_fixture_report_matches_golden(self):
-        report = run_lint(root=FIXTURES)
-        actual = render_json(report)
-        if os.environ.get("REPRO_REGEN_GOLDEN"):
-            GOLDEN.write_text(actual)
-        assert actual == GOLDEN.read_text(), (
-            "fixture lint report drifted from its golden file; if the "
-            "change is intentional, regenerate with REPRO_REGEN_GOLDEN=1"
-        )
+    def test_fixture_report_matches_golden(self, golden):
+        golden(GOLDEN, render_json(run_lint(root=FIXTURES)))
 
     def test_fixture_run_is_deterministic(self):
         assert render_json(run_lint(root=FIXTURES)) == render_json(

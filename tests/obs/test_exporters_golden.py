@@ -6,15 +6,13 @@ against checked-in golden files.  Everything compared is deterministic:
 exports carry no timestamps, trace comparison uses the timing-redacted
 view, and even the I/O deltas are stable because read latency is simulated.
 
-Regenerate after an intentional format change with::
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/obs/test_exporters_golden.py
+Regenerate after an intentional format change with
+``REPRO_REGEN_GOLDEN=1`` (see the ``golden`` fixture in the root conftest).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.core.adaptive import cvb_build
@@ -54,30 +52,18 @@ def _run_scenario():
     return registry, recorder
 
 
-def _check_golden(name: str, actual: str) -> None:
-    path = GOLDEN_DIR / name
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(actual)
-    expected = path.read_text()
-    assert actual == expected, (
-        f"{name} drifted from its golden file; if the change is "
-        f"intentional, regenerate with REPRO_REGEN_GOLDEN=1"
-    )
-
-
 class TestGoldenExports:
     def setup_method(self):
         self.registry, self.recorder = _run_scenario()
 
-    def test_text_export_matches_golden(self):
-        _check_golden("metrics.txt", render_text(self.registry))
+    def test_text_export_matches_golden(self, golden):
+        golden(GOLDEN_DIR / "metrics.txt", render_text(self.registry))
 
-    def test_json_export_matches_golden(self):
-        _check_golden("metrics.json", render_json(self.registry))
+    def test_json_export_matches_golden(self, golden):
+        golden(GOLDEN_DIR / "metrics.json", render_json(self.registry))
 
-    def test_prom_export_matches_golden(self):
-        _check_golden("metrics.prom", render_prom(self.registry))
+    def test_prom_export_matches_golden(self, golden):
+        golden(GOLDEN_DIR / "metrics.prom", render_prom(self.registry))
 
     def test_prom_histograms_are_cumulative_and_closed(self):
         """Every histogram's +Inf bucket equals its _count sample."""
@@ -97,9 +83,10 @@ class TestGoldenExports:
         for name, value in inf.items():
             assert counts[name] == value
 
-    def test_trace_matches_golden(self):
-        _check_golden(
-            "trace.jsonl", self.recorder.to_jsonl(redact_timing=True)
+    def test_trace_matches_golden(self, golden):
+        golden(
+            GOLDEN_DIR / "trace.jsonl",
+            self.recorder.to_jsonl(redact_timing=True),
         )
 
     def test_json_export_carries_schema_version(self):

@@ -113,6 +113,8 @@ class TestRejection:
             ({"method": 1}, "wrong type"),
             ({"f": math.nan}, "must be finite"),
             ({"max_sampled_fraction": math.inf}, "must be finite"),
+            ({"f": 10**400}, "beyond the float range"),
+            ({"gamma": -(10**400)}, "beyond the float range"),
         ],
     )
     def test_bad_build_params_rejected(self, params, match):
@@ -137,7 +139,9 @@ class TestRejection:
         with pytest.raises(ProtocolError, match="wrong type"):
             validate_request({"op": "watch", "cursor": True})
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+    )
     @pytest.mark.parametrize(
         "op, field",
         [
@@ -153,6 +157,17 @@ class TestRejection:
                         if name not in request})
         request[field] = bad
         with pytest.raises(ProtocolError, match="must be finite"):
+            validate_request(request)
+
+    def test_integer_fields_take_any_size(self):
+        """Only numbers bound for float arithmetic need to fit a float."""
+        huge = 10**400
+        for request in [
+            {"op": "modify", "table": "t", "column": "x", "rows": huge},
+            {"op": "watch", "cursor": huge},
+            {"op": "analyze", "table": "t", "column": "x",
+             "params": {"k": huge}},
+        ]:
             validate_request(request)
 
     def test_non_finite_json_constants_rejected_after_decode(self):

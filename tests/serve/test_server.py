@@ -30,6 +30,24 @@ OVERSIZED_PARAMS = [
 ]
 
 
+#: Well-typed requests with numbers that float arithmetic cannot use, and
+#: the error code each gets: an integer beyond the float range, or an
+#: ``f``/``gamma`` so small that the record sample size is infinite.
+UNUSABLE_NUMBERS = [
+    ({"op": "estimate_range", "table": "t", "column": "x",
+      "lo": 10**400, "hi": 1}, "ProtocolError"),
+    ({"op": "estimate_equality", "table": "t", "column": "x",
+      "value": -(10**400)}, "ProtocolError"),
+    ({"op": "estimate_quantile", "table": "t", "column": "x",
+      "q": 10**400}, "ProtocolError"),
+    ({"op": "analyze", "table": "t", "column": "x",
+      "params": {"method": "record", "f": 5e-324}}, "InfeasibleBoundError"),
+    ({"op": "analyze", "table": "t", "column": "x",
+      "params": {"method": "record", "gamma": 5e-324}},
+     "InfeasibleBoundError"),
+]
+
+
 def _server(**kwargs):
     kwargs.setdefault(
         "policy", RefreshPolicy(fraction=0.2, floor_rows=100)
@@ -136,6 +154,12 @@ class TestEndpoints:
         )
         assert not response["ok"]
         assert response["code"] == "ProtocolError"
+
+    @pytest.mark.parametrize("request_, code", UNUSABLE_NUMBERS)
+    def test_unusable_numbers_get_error_envelopes(self, request_, code):
+        response = _server().handle(request_)
+        assert not response["ok"]
+        assert response["code"] == code
 
     def test_params_up_to_the_row_count_build(self):
         built = _ok(_server().handle(
@@ -399,6 +423,9 @@ class TestTcpFrontEnd:
                     "params": params,
                 })
                 assert rejected["code"] == "ProtocolError"
+                assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+            for request, code in UNUSABLE_NUMBERS:
+                assert _roundtrip(stream, request)["code"] == code
                 assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
             stream.write(b"[" * 50_000 + b"\n")  # nested past the recursion limit
             stream.flush()

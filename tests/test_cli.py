@@ -38,6 +38,13 @@ class TestPlan:
         )
         assert code == 2
 
+    def test_f_whose_square_underflows_is_clean_error(self, capsys):
+        code = main(["plan", "--n", "1000", "--k", "10", "--f", "1e-200"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not a finite number" in err
+        assert "Traceback" not in err
+
 
 class TestDemo:
     def test_demo_runs(self, capsys):
@@ -100,6 +107,13 @@ class TestAnalyze:
         code = main(["analyze", str(path), "--column", "5"])
         assert code == 1
         assert "column 5" in capsys.readouterr().err
+
+    def test_nan_in_csv_is_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "table.csv"
+        path.write_text("1\n2\nnan\n4\n")
+        code = main(["analyze", str(path), "--k", "2"])
+        assert code == 1
+        assert "column 'value' holds NaN" in capsys.readouterr().err
 
     def test_fullscan_method(self, tmp_path, capsys):
         path = tmp_path / "values.npy"
@@ -220,6 +234,17 @@ class TestSaveAndEstimate:
         capsys.readouterr()
         assert main(["estimate", str(stats_path), "--equals", "500"]) == 0
         assert "value = 500" in capsys.readouterr().out
+
+    def test_estimate_nan_range_is_clean_error(self, tmp_path, capsys):
+        values_path = tmp_path / "values.npy"
+        np.save(values_path, np.arange(5_000))
+        stats_path = tmp_path / "stats.json"
+        main(["analyze", str(values_path), "--k", "10", "--f", "0.3",
+              "--save", str(stats_path)])
+        capsys.readouterr()
+        code = main(["estimate", str(stats_path), "--range", "nan", "50"])
+        assert code == 1
+        assert "need lo <= hi" in capsys.readouterr().err
 
     def test_estimate_without_query_hints(self, tmp_path, capsys):
         values_path = tmp_path / "values.npy"

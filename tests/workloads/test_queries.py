@@ -26,6 +26,11 @@ class TestRangeQuery:
         with pytest.raises(ParameterError):
             RangeQuery(10, 5)
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 50), (0, np.nan)])
+    def test_nan_bound_rejected(self, lo, hi):
+        with pytest.raises(ParameterError):
+            RangeQuery(lo, hi)
+
 
 class TestTrueRangeCount:
     def test_matches_brute_force(self, rng):

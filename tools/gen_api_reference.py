@@ -249,7 +249,7 @@ def render_module(module_name: str) -> list[str]:
         else:
             lines.append(f"#### data `{name}`")
             lines.append("")
-            lines.append(f"`{_ADDRESS.sub('', repr(obj))}`"[:300])
+            lines.append(f"`{_ADDRESS.sub('', repr(obj))[:298]}`")
             lines.append("")
     return lines
 
