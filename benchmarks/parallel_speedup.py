@@ -6,7 +6,9 @@ grid) twice — once serially, once over a process pool — and
 - asserts the accuracy numbers are **bit-identical** (the determinism
   guarantee: every trial's stream derives from its own pre-spawned seed, so
   worker count and scheduling cannot change a single float), and
-- prints wall-clock times, realised speedup, and aggregate page reads.
+- prints wall-clock times, realised speedup, and aggregate page reads,
+  read from the metrics registry the sweep records into (the worker
+  registries of a parallel map merge into it).
 
 The wall-clock table changes on every run, so it is printed, not kept.
 The file name keeps default ``pytest`` collection away; run it by name::
@@ -30,6 +32,7 @@ from repro.experiments import reporting
 from repro.experiments.config import get_scale
 from repro.experiments.parallel import TrialPool
 from repro.experiments.runner import build_heapfile, mean_error_at_rate
+from repro.obs import metrics
 
 # More trials per point than the figure default: the speedup measurement
 # needs enough per-point work for the fan-out to amortise.
@@ -43,18 +46,17 @@ PARALLEL_WORKERS = 4
 def _sweep(heapfile, values, k, rates, pool):
     errors = []
     wall = 0.0
-    reads = 0
-    for i, rate in enumerate(rates):
-        start = time.perf_counter()
-        errors.append(
-            mean_error_at_rate(
-                heapfile, values, rate, k, trials=TRIALS, rng=100 + i,
-                pool=pool,
+    with metrics.collecting() as registry:
+        for i, rate in enumerate(rates):
+            start = time.perf_counter()
+            errors.append(
+                mean_error_at_rate(
+                    heapfile, values, rate, k, trials=TRIALS, rng=100 + i,
+                    pool=pool,
+                )
             )
-        )
-        wall += time.perf_counter() - start
-        reads += pool.last_stats.page_reads
-    return errors, wall, reads
+            wall += time.perf_counter() - start
+    return errors, wall, registry
 
 
 def test_parallel_sweep_is_bit_identical_and_fast():
@@ -68,14 +70,19 @@ def test_parallel_sweep_is_bit_identical_and_fast():
     values = dataset_values
 
     with TrialPool(max_workers=1) as serial_pool:
-        serial_errors, serial_wall, serial_reads = _sweep(
+        serial_errors, serial_wall, serial_registry = _sweep(
             heapfile, values, scale.k, scale.rates, serial_pool
         )
     with TrialPool(max_workers=PARALLEL_WORKERS) as par_pool:
-        par_errors, par_wall, par_reads = _sweep(
+        par_errors, par_wall, par_registry = _sweep(
             heapfile, values, scale.k, scale.rates, par_pool
         )
-        mode = par_pool.last_stats.mode
+    serial_reads = int(serial_registry.counter_value("repro_page_reads_total"))
+    par_reads = int(par_registry.counter_value("repro_page_reads_total"))
+    process_maps = par_registry.counter_value(
+        "repro_pool_maps_total", mode="process"
+    )
+    mode = "process" if process_maps == len(scale.rates) else "serial"
 
     # The determinism guarantee: element-wise identical floats.
     assert par_errors == serial_errors

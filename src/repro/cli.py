@@ -42,12 +42,12 @@ Four subcommands expose the library to shell users:
 ``bench``
     Deterministic benchmark harness (:mod:`repro.obs.bench`): run the
     scenario registry, optionally write the schema-versioned report to
-    ``--out``, ``--compare`` its logical costs exactly against a baseline,
-    ``--update-baseline`` (logical sections only), or ``--profile`` each
-    scenario through :mod:`cProfile`.  Exits 3 when a logical cost drifts
-    or a scenario's declared wall gate fails.  Wall-clock is never
-    compared across runs; cross-commit timing claims go through the
-    end-to-end benchmark in ``benchmarks/e2e``.
+    ``--out``, or ``--profile`` each scenario through :mod:`cProfile`.
+    Exits 3 when a scenario's declared wall gate fails.  The logical
+    costs are checked against ``benchmarks/baseline.json`` by the test
+    suite; wall-clock is never compared across runs, and cross-commit
+    timing claims go through the end-to-end benchmark in
+    ``benchmarks/e2e``.
 
 ``lint``
     Determinism & invariant static analysis (:mod:`repro.lint`): run the
@@ -55,8 +55,8 @@ Four subcommands expose the library to shell users:
     Markdown docs, print a text or JSON report, and exit nonzero on any
     unsuppressed error-severity finding — the CI gate.  ``--changed-only``
     restricts findings to files touched versus the merge-base with
-    ``main`` (the fast pre-push loop).  Supports ``--rules`` selection,
-    ``--baseline`` diffing and ``--list-rules``.
+    ``main`` (the fast pre-push loop).  Supports ``--rules`` selection
+    and ``--list-rules``.
 
 ``serve``
     Statistics-as-a-service (:mod:`repro.serve`): run the JSON-lines
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="deterministic benchmark harness with baseline comparison",
+        help="deterministic benchmark harness (logical costs + wall gates)",
     )
     bench.add_argument(
         "--scenario", action="append", metavar="NAME", dest="scenarios",
@@ -327,16 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--out", metavar="FILE",
         help="write the report to FILE (default: print the summary only)",
-    )
-    bench.add_argument(
-        "--compare", metavar="BASELINE",
-        help="gate against a baseline report: exit nonzero when a logical "
-             "cost drifts",
-    )
-    bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the report's logical sections to "
-             "benchmarks/baseline.json",
     )
     bench.add_argument(
         "--profile", metavar="DIR",
@@ -367,15 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--root", metavar="DIR",
         help="repo root to lint (default: this checkout)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="FILE",
-        help="subtract known findings recorded in FILE; only new "
-             "findings fail the gate",
-    )
-    lint.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="record the current findings to FILE and exit 0",
     )
     lint.add_argument(
         "--out", metavar="FILE",
@@ -873,8 +854,6 @@ def _cmd_bench(args) -> int:
 
 
 def _bench_run(args, bench) -> int:
-    import json
-
     report = bench.run_bench(
         scenarios=args.scenarios,
         scale=args.scale,
@@ -894,34 +873,13 @@ def _bench_run(args, bench) -> int:
             f"profiles written to {args.profile}/<scenario>.pstats",
             file=sys.stderr,
         )
-    if args.update_baseline:
-        baseline_path = "benchmarks/baseline.json"
-        bench.write_report(bench.baseline_of(report), baseline_path)
-        print(f"baseline updated at {baseline_path}", file=sys.stderr)
-
-    status = 0
     gate_failures = bench.gate_failures(report)
     if gate_failures:
         print("bench wall gates FAILED:", file=sys.stderr)
         for failure in gate_failures:
             print(f"  gate: {failure}", file=sys.stderr)
-        status = 3
-    if args.compare:
-        with open(args.compare) as handle:
-            baseline = json.load(handle)
-        failures, notes = bench.compare_reports(report, baseline)
-        for note in notes:
-            print(f"note: {note}", file=sys.stderr)
-        if failures:
-            print(
-                f"bench comparison FAILED against {args.compare}:",
-                file=sys.stderr,
-            )
-            for failure in failures:
-                print(f"  regression: {failure}", file=sys.stderr)
-            return 3
-        print(f"bench comparison passed against {args.compare}", file=sys.stderr)
-    return status
+        return 3
+    return 0
 
 
 def _cmd_lint(args) -> int:
@@ -942,17 +900,6 @@ def _cmd_lint(args) -> int:
             print("lint: no lintable files changed vs main", file=sys.stderr)
 
     report = lint_mod.run_lint(root=args.root, rules=args.rules, paths=paths)
-    if args.write_baseline:
-        lint_mod.write_baseline(report, args.write_baseline)
-        print(
-            f"lint baseline written to {args.write_baseline} "
-            f"({len(report.findings)} finding(s))",
-            file=sys.stderr,
-        )
-        return 0
-    if args.baseline:
-        baseline = lint_mod.load_baseline(args.baseline)
-        report = lint_mod.apply_baseline(report, baseline)
     rendered = (
         lint_mod.render_json(report)
         if args.format == "json"

@@ -76,20 +76,28 @@ def _check_fraction(f: float) -> None:
         raise ParameterError(f"error fraction f must be in (0, 1], got {f}")
 
 
-def _sample_size(numerator: float, denominator: float = 1.0) -> int:
-    """``ceil(numerator / denominator)``, the form of every sample size here.
+def _finite(value: float, what: str) -> float:
+    """*value*, or :class:`InfeasibleBoundError` when it is not finite.
 
     Parameters at the edge of the float range (an ``f`` whose square
-    underflows to 0, a ``gamma`` so small that ``ln(1/gamma)`` overflows)
-    make the quotient infinite; no sample of that size exists.
+    underflows to 0, a ``gamma`` so small that ``2n/gamma`` or
+    ``1/gamma`` overflows) make a bound infinite; no sample of that size
+    exists, and no error of that size is a guarantee.
     """
+    if not math.isfinite(value):
+        raise InfeasibleBoundError(f"{what} is not a finite number")
+    return value
+
+
+def _sample_size(numerator: float, denominator: float = 1.0) -> int:
+    """``ceil(numerator / denominator)``, the form of every sample size here."""
     size = numerator / denominator if denominator else math.inf
-    if not math.isfinite(size):
-        raise InfeasibleBoundError(
-            f"the required sample size {numerator!r} / {denominator!r} "
-            "is not a finite number"
+    return math.ceil(
+        _finite(
+            size,
+            f"the required sample size {numerator!r} / {denominator!r}",
         )
-    return math.ceil(size)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +127,10 @@ def theorem4_error(n: int, k: int, r: int, gamma: float) -> float:
     """
     _check_positive(n=n, k=k, r=r)
     _check_gamma(gamma)
-    return math.sqrt(4.0 * n * n * math.log(2.0 * n / gamma) / (r * k))
+    return _finite(
+        math.sqrt(4.0 * n * n * math.log(2.0 * n / gamma) / (r * k)),
+        "Theorem 4's guaranteed delta",
+    )
 
 
 def corollary1_sample_size(n: int, k: int, f: float, gamma: float) -> int:
@@ -139,7 +150,10 @@ def corollary1_error_fraction(n: int, k: int, r: int, gamma: float) -> float:
     sample of size *r* (Example 3, "Determining Histogram Error")."""
     _check_positive(n=n, k=k, r=r)
     _check_gamma(gamma)
-    return math.sqrt(4.0 * k * math.log(2.0 * n / gamma) / r)
+    return _finite(
+        math.sqrt(4.0 * k * math.log(2.0 * n / gamma) / r),
+        "Corollary 1's guaranteed error fraction",
+    )
 
 
 def corollary1_max_buckets(n: int, r: int, f: float, gamma: float) -> int:
@@ -180,7 +194,10 @@ def theorem5_separation(n: int, k: int, r: int, gamma: float) -> float:
     """The δ-separation guaranteed by a sample of size *r* (Theorem 5)."""
     _check_positive(n=n, k=k, r=r)
     _check_gamma(gamma)
-    return math.sqrt(12.0 * n * n * math.log(2.0 * k / gamma) / r)
+    return _finite(
+        math.sqrt(12.0 * n * n * math.log(2.0 * k / gamma) / r),
+        "Theorem 5's guaranteed separation",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +405,10 @@ def theorem8_error_lower_bound(n: int, r: int, gamma: float) -> float:
         raise ParameterError(
             f"Theorem 8 requires gamma > e^-r; gamma={gamma} too small for r={r}"
         )
-    return math.sqrt(n * math.log(1.0 / gamma) / r)
+    return _finite(
+        math.sqrt(n * math.log(1.0 / gamma) / r),
+        "Theorem 8's ratio-error lower bound",
+    )
 
 
 def theorem8_sample_size_for_error(n: int, error: float, gamma: float) -> int:

@@ -134,7 +134,16 @@ class RunCheckpoint:
             if op == "map":
                 self._metas[int(record["map"])] = record
             elif op == "chunk":
-                timed = pickle.loads(base64.b64decode(record["data"]))
+                try:
+                    timed = pickle.loads(base64.b64decode(record["data"]))
+                except (AttributeError, ImportError) as exc:
+                    # Chunk data pickles the trial values of the code that
+                    # wrote it; other code may not define their classes.
+                    raise CheckpointError(
+                        f"{self._path}: chunk {record['chunk']} of map "
+                        f"{record['map']} cannot be loaded by this code "
+                        f"({exc}); run the sweep again without --resume"
+                    ) from None
                 self._chunks.setdefault(int(record["map"]), {})[
                     int(record["chunk"])
                 ] = timed

@@ -105,11 +105,21 @@ def evaluate_workload(
     """Run *queries* through the estimator and compare with exact answers.
 
     *sorted_values* must be the full column in sorted order (ground truth is
-    computed by binary search, not through the storage layer).
+    computed by binary search, not through the storage layer); anything
+    else — a 2-D array, an unsorted column, a NaN — raises
+    :class:`~repro.exceptions.ParameterError` instead of a wrong truth.
     """
     if not queries:
         raise ParameterError("workload must contain at least one query")
     sorted_values = np.asarray(sorted_values)
+    # One O(n) pass per workload; NaN fails the comparison like a descent.
+    if sorted_values.ndim != 1 or not np.all(
+        sorted_values[1:] >= sorted_values[:-1]
+    ):
+        raise ParameterError(
+            "sorted_values must be a one-dimensional, non-decreasing array "
+            f"without NaN (got shape {sorted_values.shape})"
+        )
     estimates = []
     for query in queries:
         truth = true_range_count(sorted_values, query)

@@ -187,9 +187,9 @@ class TaskQuarantinedError(ReproError):
     """A trial chunk was quarantined after repeatedly killing its workers.
 
     Raised by :class:`repro.experiments.parallel.TrialPool` when the same
-    chunk survives ``max_redispatch`` deterministic re-dispatches without
-    completing — the signature of a poison task (one that segfaults or
-    wedges its worker) rather than an unlucky crash.  Carries the chunk
+    chunk, running alone, kills its worker again after two deterministic
+    re-dispatches — the signature of a poison task (one that segfaults or
+    kills its worker) rather than an unlucky crash.  Carries the chunk
     index and the seeds it contained so the caller can reproduce serially.
 
     All constructor arguments flow through ``Exception.args``, keeping the

@@ -8,13 +8,7 @@ from .chaos import (
     format_chaos_report,
 )
 from .config import SCALES, ExperimentScale, get_scale
-from .parallel import (
-    TrialPool,
-    TrialRecord,
-    TrialStats,
-    resolve_workers,
-    run_trials,
-)
+from .parallel import TrialPool, run_trials
 from .figures import (
     figure5,
     figure6,
@@ -44,9 +38,6 @@ __all__ = [
     "ExperimentScale",
     "get_scale",
     "TrialPool",
-    "TrialRecord",
-    "TrialStats",
-    "resolve_workers",
     "run_trials",
     "figure5",
     "figure6",

@@ -138,7 +138,7 @@ def chaos_sweep(
     dataset: str = "zipf2",
     trials: int = 3,
     seed: RngLike = 0,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     max_attempts: int = 5,
     max_skipped_fraction: float = 0.5,
@@ -149,7 +149,7 @@ def chaos_sweep(
     Returns a dict with per-rate :class:`ChaosPoint` aggregates, the error
     :class:`~repro.experiments.reporting.Series`, the Theorem-7-style
     targets (the stopping rule certifies ``~f``; ``2f`` is the loose side
-    of the theorem's separation), and the pool's trial stats.  Results are
+    of the theorem's separation) and the sweep parameters.  Results are
     bit-identical for any *workers* / *chunk_size*.
     """
     if trials <= 0:
@@ -181,7 +181,6 @@ def chaos_sweep(
             checkpoint=checkpoint,
         ) as pool:
             results = pool.map(_chaos_trial, tasks)
-            pool_stats = pool.last_stats
 
     points = []
     error_series = Series("CVB under faults", "fault_rate", "max_error_fraction")
@@ -216,7 +215,6 @@ def chaos_sweep(
             "trials": trials,
             "blocking_factor": blocking_factor,
         },
-        "pool_stats": pool_stats,
     }
 
 

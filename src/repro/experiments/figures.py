@@ -23,7 +23,7 @@ from ..sampling.block_sampler import sample_blocks
 from ..storage.record import RecordSpec
 from ..workloads.datasets import make_dataset
 from .config import ExperimentScale, get_scale
-from .parallel import TrialPool, TrialRecord
+from .parallel import TrialPool
 from .runner import (
     build_heapfile,
     mean_error_at_rate,
@@ -46,7 +46,7 @@ def figures_3_and_4(
     scale: ExperimentScale | str | None = None,
     seed: RngLike = 0,
     f: float | None = None,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:
@@ -100,7 +100,7 @@ def figure5(
     scale: ExperimentScale | str | None = None,
     seed: RngLike = 0,
     zs: tuple[float, ...] = (0, 2, 4),
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:
@@ -143,7 +143,7 @@ def figure6(
     scale: ExperimentScale | str | None = None,
     seed: RngLike = 0,
     f: float | None = None,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:
@@ -179,7 +179,7 @@ def figure7(
     scale: ExperimentScale | str | None = None,
     seed: RngLike = 0,
     cluster_fraction: float = 0.2,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:
@@ -227,7 +227,7 @@ def figure8(
     scale: ExperimentScale | str | None = None,
     seed: RngLike = 0,
     f: float | None = None,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:
@@ -271,24 +271,20 @@ def figure8(
     }
 
 
-def _dv_trial(task: tuple, seed: int) -> TrialRecord:
+def _dv_trial(task: tuple, seed: int) -> tuple[int, float]:
     """Picklable per-trial kernel of the DV sweep: one block sample's
     in-sample distinct count and GEE estimate."""
     heapfile, num_blocks, n = task
-    before = heapfile.iostats.page_reads
     sample = sample_blocks(heapfile, num_blocks, rng=seed)
     samp = int(np.unique(sample).size)
-    est = GEEEstimator().estimate_from_sample(sample, n)
-    return TrialRecord(
-        (samp, est), page_reads=heapfile.iostats.page_reads - before
-    )
+    return samp, GEEEstimator().estimate_from_sample(sample, n)
 
 
 def _distinct_value_sweep(
     dataset_name: str,
     scale: ExperimentScale,
     seed: RngLike,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:
@@ -342,7 +338,7 @@ def figure9_10(
     dataset_name: str,
     scale: ExperimentScale | str | None = None,
     seed: RngLike = 0,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:
@@ -370,7 +366,7 @@ def figure11_12(
     dataset_name: str,
     scale: ExperimentScale | str | None = None,
     seed: RngLike = 0,
-    workers: int | None = 1,
+    workers: int = 1,
     chunk_size: int | None = None,
     checkpoint=None,
 ) -> dict:

@@ -27,7 +27,7 @@ from ..exceptions import ParameterError
 from ..sampling.block_sampler import sample_blocks
 from ..sampling.schedule import StepSchedule
 from ..storage.heapfile import HeapFile
-from .parallel import TrialPool, TrialRecord, run_trials
+from .parallel import TrialPool, run_trials
 
 __all__ = [
     "build_heapfile",
@@ -89,12 +89,12 @@ def error_at_rate(
     return histogram_quality(sample, sorted_values, k, metric=metric)
 
 
-def _error_at_rate_trial(task: tuple, seed: int) -> TrialRecord:
+def _error_at_rate_trial(task: tuple, seed: int) -> float:
     """Picklable per-trial kernel behind :func:`mean_error_at_rate`."""
     heapfile, sorted_values, rate, k, metric = task
-    before = heapfile.iostats.page_reads
-    err = error_at_rate(heapfile, sorted_values, rate, k, rng=seed, metric=metric)
-    return TrialRecord(err, page_reads=heapfile.iostats.page_reads - before)
+    return error_at_rate(
+        heapfile, sorted_values, rate, k, rng=seed, metric=metric
+    )
 
 
 def mean_error_at_rate(
@@ -105,8 +105,6 @@ def mean_error_at_rate(
     trials: int,
     rng: RngLike = None,
     metric: str = "fractional",
-    workers: int | None = None,
-    chunk_size: int | None = None,
     pool: TrialPool | None = None,
 ) -> float:
     """Central :func:`error_at_rate` over *trials* independent samples.
@@ -115,9 +113,9 @@ def mean_error_at_rate(
     tail (one under-sampled separator range dominates the max), and a mean
     over a handful of trials chases that tail.
 
-    Trials fan out over *workers* processes (or an existing *pool*); each
-    trial's stream derives only from its own spawned seed, so any worker
-    count returns bit-identical floats to the serial loop.
+    Trials fan out over *pool* when one is given; each trial's stream
+    derives only from its own spawned seed, so any worker count returns
+    bit-identical floats to the serial loop.
     """
     if trials <= 0:
         raise ParameterError(f"trials must be positive, got {trials}")
@@ -125,19 +123,15 @@ def mean_error_at_rate(
     fn = partial(
         _error_at_rate_trial, (heapfile, sorted_values, rate, k, metric)
     )
-    errors = run_trials(
-        fn, seeds, max_workers=workers, chunk_size=chunk_size, pool=pool
-    )
+    errors = run_trials(fn, seeds, pool=pool)
     return float(np.median(errors))
 
 
-def _probe_trial(task: tuple, seed: int) -> TrialRecord:
+def _probe_trial(task: tuple, seed: int) -> float:
     """Picklable per-trial kernel behind :func:`required_blocks_for_error`."""
     heapfile, sorted_values, k, metric, num_blocks = task
-    before = heapfile.iostats.page_reads
     sample = sample_blocks(heapfile, num_blocks, rng=seed)
-    err = histogram_quality(sample, sorted_values, k, metric=metric)
-    return TrialRecord(err, page_reads=heapfile.iostats.page_reads - before)
+    return histogram_quality(sample, sorted_values, k, metric=metric)
 
 
 def required_blocks_for_error(
@@ -148,8 +142,6 @@ def required_blocks_for_error(
     trials: int = 9,
     rng: RngLike = None,
     metric: str = "fractional",
-    workers: int | None = None,
-    chunk_size: int | None = None,
     pool: TrialPool | None = None,
 ) -> int:
     """Smallest number of sampled blocks whose median measured error is <= *f*.
@@ -161,8 +153,8 @@ def required_blocks_for_error(
     ablation benchmark compares the two.)
 
     The grid scan itself stays sequential (each probe decides the next),
-    but the *trials* inside every probe fan out over *workers* processes
-    with bit-identical results to the serial loop.
+    but the *trials* inside every probe fan out over *pool* with
+    bit-identical results to the serial loop.
     """
     if not 0 < f <= 1:
         raise ParameterError(f"f must be in (0, 1], got {f}")
@@ -173,9 +165,7 @@ def required_blocks_for_error(
         fn = partial(
             _probe_trial, (heapfile, sorted_values, k, metric, num_blocks)
         )
-        errors = run_trials(
-            fn, seeds, max_workers=workers, chunk_size=chunk_size, pool=pool
-        )
+        errors = run_trials(fn, seeds, pool=pool)
         # Median: the fractional max error has a heavy upper tail near the
         # threshold (one under-sampled range dominates the max), and a mean
         # over few trials would chase that tail.
@@ -255,15 +245,14 @@ def cvb_sampling_cost(
     )
 
 
-def _cvb_trial(task: tuple, seed_pair: tuple) -> TrialRecord:
+def _cvb_trial(task: tuple, seed_pair: tuple) -> CVBCost:
     """Picklable per-trial kernel behind :func:`mean_cvb_cost`."""
     make_heapfile, sorted_values, k, f, kwargs = task
     build_seed, run_seed = seed_pair
     heapfile = make_heapfile(np.random.default_rng(build_seed))
-    cost = cvb_sampling_cost(
+    return cvb_sampling_cost(
         heapfile, sorted_values, k, f, rng=run_seed, **kwargs
     )
-    return TrialRecord(cost, page_reads=heapfile.iostats.page_reads)
 
 
 def mean_cvb_cost(
@@ -273,8 +262,6 @@ def mean_cvb_cost(
     f: float,
     trials: int,
     rng: RngLike = None,
-    workers: int | None = None,
-    chunk_size: int | None = None,
     pool: TrialPool | None = None,
     **kwargs,
 ) -> CVBCost:
@@ -283,18 +270,15 @@ def mean_cvb_cost(
     *make_heapfile* is a callable ``(rng) -> HeapFile`` so each trial gets an
     independent physical layout as well as an independent sample (matching
     how the paper repeats runs).  When it (and the extra config) pickles,
-    trials fan out over *workers* processes; a closure or lambda silently
-    degrades to the equivalent in-process loop, so results are identical
-    either way.
+    trials fan out over *pool*; a closure or lambda silently degrades to
+    the equivalent in-process loop, so results are identical either way.
     """
     if trials <= 0:
         raise ParameterError(f"trials must be positive, got {trials}")
     seeds = spawn_seeds(rng, 2 * trials)
     seed_pairs = [(seeds[2 * i], seeds[2 * i + 1]) for i in range(trials)]
     fn = partial(_cvb_trial, (make_heapfile, sorted_values, k, f, kwargs))
-    costs = run_trials(
-        fn, seed_pairs, max_workers=workers, chunk_size=chunk_size, pool=pool
-    )
+    costs = run_trials(fn, seed_pairs, pool=pool)
     return CVBCost(
         sampling_rate=float(np.mean([c.sampling_rate for c in costs])),
         blocks_sampled=int(round(np.mean([c.blocks_sampled for c in costs]))),

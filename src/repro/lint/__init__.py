@@ -18,8 +18,7 @@ Entry points
 ------------
 
 - ``python -m repro lint [--format text|json] [--rules ...]
-  [--baseline FILE] [--changed-only]`` — the CLI gate (see
-  :mod:`repro.cli`);
+  [--changed-only]`` — the CLI gate (see :mod:`repro.cli`);
 - :func:`run_lint` — lint the repo (or an explicit file list) in-process;
 - :func:`lint_text` — lint one source string under a chosen relative path
   (how the rule unit tests drive single fixtures);
@@ -45,15 +44,7 @@ from .engine import (
     rule_ids,
     run_lint,
 )
-from .report import (
-    LINT_SCHEMA_VERSION,
-    apply_baseline,
-    load_baseline,
-    make_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
+from .report import LINT_SCHEMA_VERSION, render_json, render_text
 
 __all__ = [
     "Finding",
@@ -68,8 +59,4 @@ __all__ = [
     "LINT_SCHEMA_VERSION",
     "render_text",
     "render_json",
-    "make_baseline",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
 ]

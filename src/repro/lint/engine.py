@@ -69,8 +69,6 @@ class Finding:
     """One lint violation, anchored to a file position.
 
     Ordering is ``(path, line, col, rule)`` so reports are deterministic.
-    The :meth:`fingerprint` deliberately excludes the line number: baselines
-    stay stable when unrelated edits shift code up or down a file.
     """
 
     path: str
@@ -79,10 +77,6 @@ class Finding:
     rule: str
     message: str
     severity: str = "error"
-
-    def fingerprint(self) -> str:
-        """Line-insensitive identity used by ``--baseline`` diffing."""
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_dict(self) -> dict:
         """JSON-ready plain-dict form of the finding."""

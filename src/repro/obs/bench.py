@@ -27,14 +27,15 @@ two ways:
   :func:`gate_failures` lists the gates a report failed.
 
 :func:`run_bench` produces a schema-versioned report
-(:data:`BENCH_SCHEMA_VERSION`), written only where ``--out`` says, and
-:func:`compare_reports` gates a report against the checked-in baseline
-(``benchmarks/baseline.json``): logical costs must match exactly.  The
-baseline keeps only what :func:`baseline_of` takes from a smoke run —
-schema version, scale, seed and logical sections — so regenerating it on
-an unchanged commit rewrites the same bytes.  Cross-commit wall-clock
-claims belong to the end-to-end benchmark (``benchmarks/e2e/run.py
-compare`` over paired seeds), not to this harness.  ``--profile DIR``
+(:data:`BENCH_SCHEMA_VERSION`), written only where ``--out`` says.  The
+checked-in ``benchmarks/baseline.json`` is what :func:`baseline_of`
+keeps of a smoke run — schema version, scale, seed and logical sections
+— and the test suite checks it byte for byte like every other golden
+file, so logical costs must match exactly; ``REPRO_REGEN_GOLDEN=1``
+rewrites it.
+Cross-commit wall-clock claims belong to the end-to-end benchmark
+(``benchmarks/e2e/run.py compare`` over paired seeds), not to this
+harness.  ``--profile DIR``
 wraps each scenario in :mod:`cProfile` and dumps a loadable ``.pstats``
 plus a top-N hot-function text report per scenario.
 
@@ -48,8 +49,6 @@ Shell entry point::
 
     python -m repro bench --out bench.json      # run, write the report
     python -m repro bench --list                # show the scenario registry
-    python -m repro bench --compare benchmarks/baseline.json
-    python -m repro bench --update-baseline
     python -m repro bench --profile prof/ --trace bench-trace.jsonl
 """
 
@@ -88,7 +87,6 @@ __all__ = [
     "gate_failures",
     "logical_section",
     "baseline_of",
-    "compare_reports",
     "write_report",
     "git_short_sha",
     "write_profile",
@@ -96,8 +94,7 @@ __all__ = [
 ]
 
 #: Version stamp of the bench report layout.  Bump on any breaking
-#: change to the report structure; :func:`compare_reports` refuses to
-#: compare across versions.
+#: change to the report structure.
 BENCH_SCHEMA_VERSION = 1
 
 #: Histogram metrics whose observations are wall-clock measurements; they
@@ -543,15 +540,7 @@ def _pool_run(ctx: dict) -> dict:
         rng=ctx["seed"],
         pool=ctx["pool"],
     )
-    stats = ctx["pool"].last_stats.to_dict()
-    return {
-        "median_error": float(error),
-        "trials": stats["trials"],
-        "workers": stats["workers"],
-        "mode": stats["mode"],
-        "num_chunks": stats["num_chunks"],
-        "page_reads": stats["page_reads"],
-    }
+    return {"median_error": float(error)}
 
 
 def _pool_teardown(ctx: dict) -> None:
@@ -816,8 +805,9 @@ def _durability_resume_run(ctx: dict) -> dict:
     """A checkpointed map followed by a full resume of the same map.
 
     ``identical`` entering the baseline means the resume-equals-rerun
-    contract is re-checked by the bench gate on every run; the resumed
-    map splices every chunk from the journal without re-executing.
+    contract is re-checked by the baseline gate on every tier-1 run; the
+    counters pin that the resumed map splices every chunk from the
+    journal (``repro_pool_chunks_resumed_total``) without re-executing.
     """
     from ..durability import RunCheckpoint
     from ..experiments.parallel import TrialPool
@@ -833,13 +823,7 @@ def _durability_resume_run(ctx: dict) -> dict:
         checkpoint=RunCheckpoint(directory, resume=True),
     ) as resumed_pool:
         second = resumed_pool.map(_durability_trial, ctx["seeds"])
-    stats = resumed_pool.last_stats
-    return {
-        "trials": stats.trials,
-        "chunks": stats.num_chunks,
-        "resumed_chunks": stats.chunks_resumed,
-        "identical": first == second,
-    }
+    return {"identical": first == second}
 
 
 _register(
@@ -1456,7 +1440,7 @@ def gate_failures(report: dict) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Report I/O and comparison
+# Report I/O
 # ----------------------------------------------------------------------
 
 
@@ -1504,7 +1488,7 @@ def logical_section(report: dict) -> str:
 
 
 def baseline_of(report: dict) -> dict:
-    """The part of *report* that :func:`compare_reports` reads.
+    """The part of *report* that ``benchmarks/baseline.json`` keeps.
 
     Schema version, scale, seed and each scenario's logical section: no
     wall readings, run parameters or provenance, so the baseline written
@@ -1521,84 +1505,6 @@ def baseline_of(report: dict) -> dict:
     }
 
 
-def compare_reports(
-    current: dict, baseline: dict
-) -> tuple[list[str], list[str]]:
-    """Gate *current* against *baseline*; returns ``(failures, notes)``.
-
-    Logical costs must match **exactly** (any drift is a failure — page
-    reads, counters and deterministic outputs cannot change without a code
-    change explaining it).  Wall-clock is never compared: a reading from
-    another run on another machine says nothing about this change.
-    Scenarios present only on one side are a failure (missing from
-    current) or a note (new in current).
-    """
-    failures: list[str] = []
-    notes: list[str] = []
-    if current.get("schema_version") != baseline.get("schema_version"):
-        failures.append(
-            "schema_version mismatch: current "
-            f"{current.get('schema_version')!r} vs baseline "
-            f"{baseline.get('schema_version')!r}"
-        )
-        return failures, notes
-    for key in ("scale", "seed"):
-        if current.get(key) != baseline.get(key):
-            failures.append(
-                f"{key} mismatch: current {current.get(key)!r} vs baseline "
-                f"{baseline.get(key)!r} (logical costs are only comparable "
-                f"at identical {key})"
-            )
-    if failures:
-        return failures, notes
-
-    base_scenarios = baseline.get("scenarios", {})
-    cur_scenarios = current.get("scenarios", {})
-    for name in sorted(base_scenarios):
-        if name not in cur_scenarios:
-            failures.append(f"{name}: missing from the current report")
-            continue
-        base_logical = base_scenarios[name]["logical"]
-        cur_logical = cur_scenarios[name]["logical"]
-        if cur_logical != base_logical:
-            for detail in _logical_diff(base_logical, cur_logical):
-                failures.append(f"{name}: {detail}")
-    for name in sorted(set(cur_scenarios) - set(base_scenarios)):
-        notes.append(
-            f"{name}: new scenario, not in baseline "
-            "(run --update-baseline to record it)"
-        )
-    return failures, notes
-
-
-def _flatten(prefix: str, value: Any, out: dict[str, Any]) -> None:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], out)
-    else:
-        out[prefix] = value
-
-
-def _logical_diff(base: dict, cur: dict) -> list[str]:
-    """Human-readable per-key differences between two logical sections."""
-    flat_base: dict[str, Any] = {}
-    flat_cur: dict[str, Any] = {}
-    _flatten("", base, flat_base)
-    _flatten("", cur, flat_cur)
-    details = []
-    for key in sorted(set(flat_base) | set(flat_cur)):
-        if key not in flat_cur:
-            details.append(f"logical cost {key!r} disappeared")
-        elif key not in flat_base:
-            details.append(f"new logical cost {key!r} = {flat_cur[key]!r}")
-        elif flat_base[key] != flat_cur[key]:
-            details.append(
-                f"logical cost {key!r} changed: "
-                f"{flat_base[key]!r} -> {flat_cur[key]!r}"
-            )
-    return details or ["logical section differs"]
-
-
 def format_report(report: dict) -> str:
     """Human-readable summary table of a bench report."""
     lines = [
@@ -1611,9 +1517,9 @@ def format_report(report: dict) -> str:
     ]
     for name, entry in report["scenarios"].items():
         wall = entry["wall"]
-        page_reads = entry["logical"]["result"].get("page_reads") or entry[
-            "logical"
-        ]["io"].get("page_reads", 0)
+        page_reads = int(
+            entry["logical"]["counters"].get("repro_page_reads_total", 0)
+        )
         verdict = wall.get("gate")
         gate = "-" if verdict is None else "ok" if verdict["passed"] else "FAIL"
         lines.append(

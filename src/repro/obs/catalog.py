@@ -163,7 +163,7 @@ _SPECS = [
     MetricSpec(
         "repro_pool_chunks_redispatched_total", COUNTER, ("reason",),
         "Chunks deterministically re-dispatched after worker loss "
-        "(reason=crash|timeout).",
+        "(reason=crash).",
     ),
     MetricSpec(
         "repro_pool_chunks_resumed_total", COUNTER, (),

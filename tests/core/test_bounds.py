@@ -278,8 +278,9 @@ class TestInitialBlocks:
 
 
 class TestInfiniteSampleSizes:
-    """Parameters at the float limits make a sample size infinite; that is
-    an unsatisfiable bound, not a ZeroDivisionError or OverflowError."""
+    """Parameters at the float limits make a sample size, or a guaranteed
+    error, infinite; that is an unsatisfiable bound, not a
+    ZeroDivisionError, an OverflowError or an ``inf`` answer."""
 
     @pytest.mark.parametrize(
         "bound, args",
@@ -294,8 +295,18 @@ class TestInfiniteSampleSizes:
             (bounds.theorem8_sample_size_for_error, (10**308, 1.5, 1e-300)),
             (bounds.gmp_theorem6, (10, math.inf, 1000)),
             (bounds.initial_blocks, (1000, 10, 5e-324, 0.01, 50)),
+            # 2n/gamma or 1/gamma overflows, or n^2 does.
+            (bounds.theorem4_error, (1000, 10, 5, 1e-320)),
+            (bounds.theorem4_error, (1e200, 10, 5, 0.01)),
+            (bounds.corollary1_error_fraction, (1000, 10, 5, 1e-320)),
+            (bounds.theorem5_separation, (1000, 10, 5, 1e-320)),
+            (bounds.theorem8_error_lower_bound, (1000, 1000, 1e-320)),
         ],
     )
     def test_infeasible(self, bound, args):
         with pytest.raises(InfeasibleBoundError, match="not a finite number"):
             bound(*args)
+
+    def test_gmp_required_k_keeps_its_infinity(self):
+        # Example 4's point: GMP's requirement on k overflows.
+        assert bounds.gmp_required_k(0.01) == math.inf

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import math
 
 import pytest
@@ -10,6 +11,9 @@ from repro.durability import RunCheckpoint, read_records
 from repro.durability.runjournal import seeds_key
 from repro.exceptions import CheckpointError
 from repro.experiments.parallel import TrialPool
+from repro.obs import metrics
+
+RESUMED = "repro_pool_chunks_resumed_total"
 
 
 class TestMapPlans:
@@ -66,6 +70,24 @@ class TestMapPlans:
         _, _, tail = read_records(tmp_path / "run.journal")
         assert tail is None
 
+    def test_chunk_of_other_code_is_a_checkpoint_error(self, tmp_path):
+        # A chunk pickled by code that defined a class this code lacks
+        # cannot be spliced back.
+        checkpoint = RunCheckpoint(tmp_path)
+        checkpoint.begin_map("k0", chunk_size=1, num_chunks=1)
+        checkpoint._append(
+            {
+                "op": "chunk",
+                "map": 0,
+                "chunk": 0,
+                "data": base64.b64encode(
+                    b"crepro.experiments.parallel\nTrialRecord\n."
+                ).decode("ascii"),
+            }
+        )
+        with pytest.raises(CheckpointError, match="without --resume"):
+            RunCheckpoint(tmp_path, resume=True)
+
     def test_seeds_key_is_order_and_value_sensitive(self):
         assert seeds_key([1, 2, 3]) == seeds_key([1, 2, 3])
         assert seeds_key([1, 2, 3]) != seeds_key([3, 2, 1])
@@ -85,16 +107,16 @@ class TestPoolResume:
         seeds = list(range(10))
         reference = [float(s) * 1.5 for s in seeds]
         first_calls: list = []
-        with TrialPool(
+        with metrics.collecting() as registry, TrialPool(
             max_workers=1, chunk_size=3, checkpoint=RunCheckpoint(tmp_path)
         ) as pool:
             first = pool.map(self._trial(first_calls), seeds)
         assert first == reference
         assert first_calls == seeds
-        assert pool.last_stats.chunks_resumed == 0
+        assert registry.counter_value(RESUMED) == 0
 
         resumed_calls: list = []
-        with TrialPool(
+        with metrics.collecting() as registry, TrialPool(
             max_workers=1,
             chunk_size=3,
             checkpoint=RunCheckpoint(tmp_path, resume=True),
@@ -102,7 +124,7 @@ class TestPoolResume:
             second = pool.map(self._trial(resumed_calls), seeds)
         assert second == reference
         assert resumed_calls == []  # every chunk spliced from the journal
-        assert pool.last_stats.chunks_resumed == math.ceil(len(seeds) / 3)
+        assert registry.counter_value(RESUMED) == math.ceil(len(seeds) / 3)
 
     def test_interrupted_map_resumes_where_it_died(self, tmp_path):
         seeds = list(range(8))
@@ -125,7 +147,7 @@ class TestPoolResume:
 
         armed["on"] = False
         calls.clear()
-        with TrialPool(
+        with metrics.collecting() as registry, TrialPool(
             max_workers=1,
             chunk_size=2,
             checkpoint=RunCheckpoint(tmp_path, resume=True),
@@ -134,7 +156,7 @@ class TestPoolResume:
         assert results == [float(s) * 1.5 for s in seeds]
         # Only the chunk that died (4, 5) and the never-started ones re-ran.
         assert calls == [4, 5, 6, 7]
-        assert pool.last_stats.chunks_resumed == 2
+        assert registry.counter_value(RESUMED) == 2
 
     def test_resume_with_different_seeds_refuses(self, tmp_path):
         with TrialPool(

@@ -89,6 +89,23 @@ class TestWorkloadEvaluation:
         with pytest.raises(ParameterError):
             evaluate_workload(estimator, values, [])
 
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.arange(1000.0)[::-1],  # reversed: truth 0 for [100, 199]
+            np.arange(1000.0).reshape(10, 100),
+            np.array([1.0, 2.0, np.nan, 4.0]),
+        ],
+        ids=["reversed", "2-d", "nan"],
+    )
+    def test_column_must_be_sorted_1d_without_nan(self, column):
+        estimator = RangeSelectivityEstimator(
+            EquiHeightHistogram.from_values(np.arange(1000.0), 10),
+            table_rows=1000,
+        )
+        with pytest.raises(ParameterError, match="non-decreasing"):
+            evaluate_workload(estimator, column, [RangeQuery(100, 199)])
+
     def test_perfect_histogram_beats_coarse_sample(self, rng):
         """More sampling -> better histograms -> better estimates, on
         average over a workload."""

@@ -4,8 +4,8 @@ The load-bearing guarantee is *bit-identical serial/parallel equivalence*:
 for any worker count and chunking, ``TrialPool.map(fn, seeds)`` must equal
 ``[fn(s) for s in seeds]`` element for element.  A Hypothesis harness locks
 that down over random trial counts, seeds, and worker counts; the remaining
-tests cover validation, the sequential fallback, stats aggregation, and the
-runner kernels' wiring.
+tests cover validation, the sequential fallback, the map's account in the
+metrics registry and trace, and the runner kernels' wiring.
 """
 
 from __future__ import annotations
@@ -19,29 +19,20 @@ from hypothesis import strategies as st
 
 from repro._rng import spawn_rngs, spawn_seeds
 from repro.exceptions import ParameterError
-from repro.experiments.parallel import (
-    TrialPool,
-    TrialRecord,
-    resolve_workers,
-    run_trials,
-)
+from repro.experiments.parallel import TrialPool, run_trials
 from repro.experiments.runner import (
     build_heapfile,
     mean_cvb_cost,
     mean_error_at_rate,
     required_blocks_for_error,
 )
+from repro.obs import metrics, trace
 
 
 def _draw_floats(seed: int) -> tuple[float, float]:
     """A picklable trial kernel exercising the RNG stream shape."""
     rng = np.random.default_rng(seed)
     return float(rng.random()), float(rng.normal())
-
-
-def _record_trial(seed: int) -> TrialRecord:
-    rng = np.random.default_rng(seed)
-    return TrialRecord(float(rng.random()), page_reads=seed % 7)
 
 
 def _draw_from(generator) -> float:
@@ -51,6 +42,23 @@ def _draw_from(generator) -> float:
 
 def _sum_pair(pair: tuple) -> int:
     return int(pair[0] + pair[1])
+
+
+def _recorded_map(pool: TrialPool, fn, seeds):
+    """``pool.map(fn, seeds)`` plus the registry it recorded into."""
+    with metrics.collecting() as registry:
+        results = pool.map(fn, seeds)
+    return results, registry
+
+
+def _mode(registry) -> str:
+    """The mode of the one map *registry* recorded."""
+    (mode,) = [
+        mode
+        for mode in ("serial", "process")
+        if registry.counter_value("repro_pool_maps_total", mode=mode)
+    ]
+    return mode
 
 
 class TestSeedSpawning:
@@ -75,24 +83,20 @@ class TestValidation:
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ParameterError):
-            resolve_workers(-3)
+            TrialPool(max_workers=-3)
 
     def test_zero_chunk_rejected(self):
         with pytest.raises(ParameterError):
             TrialPool(max_workers=1, chunk_size=0)
 
-    def test_negative_chunk_rejected_at_map(self):
-        pool = TrialPool(max_workers=1)
-        with pytest.raises(ParameterError):
-            pool.map(_draw_floats, [1, 2], chunk_size=-1)
-
     def test_bool_workers_rejected(self):
         with pytest.raises(ParameterError):
-            resolve_workers(True)
+            TrialPool(max_workers=True)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
+    def test_none_workers_rejected(self):
+        # There is no "auto" worker count: every caller passes an int.
+        with pytest.raises(ParameterError):
+            TrialPool(max_workers=None)
 
 
 class TestGeneratorSeedsRejected:
@@ -105,8 +109,7 @@ class TestGeneratorSeedsRejected:
         shared = np.random.default_rng(7)
         with TrialPool(max_workers=workers, chunk_size=1) as pool:
             with pytest.raises(ParameterError, match="numpy Generator"):
-                pool.map(_draw_from, [shared] * 6)
-            assert pool.last_stats is None
+                _recorded_map(pool, _draw_from, [shared] * 6)
             assert pool._executor is None
         # No trial ran, so the generator was never advanced.
         assert shared.random() == np.random.default_rng(7).random()
@@ -117,69 +120,81 @@ class TestGeneratorSeedsRejected:
 
     def test_generator_inside_a_tuple_seed_rejected(self):
         seeds = [(1, 2), (3, np.random.default_rng(0))]
-        with pytest.raises(ParameterError, match="seed 1 holds"):
-            run_trials(_sum_pair, seeds, max_workers=2)
+        with TrialPool(max_workers=2) as pool:
+            with pytest.raises(ParameterError, match="seed 1 holds"):
+                run_trials(_sum_pair, seeds, pool=pool)
 
     def test_ints_and_int_tuples_still_map(self):
-        assert run_trials(_draw_floats, [1, 2], max_workers=2) == [
-            _draw_floats(1), _draw_floats(2),
-        ]
-        pairs = [(1, 2), (3, np.int64(4))]
-        assert run_trials(_sum_pair, pairs, max_workers=2) == [3, 7]
+        with TrialPool(max_workers=2) as pool:
+            assert run_trials(_draw_floats, [1, 2], pool=pool) == [
+                _draw_floats(1), _draw_floats(2),
+            ]
+            pairs = [(1, 2), (3, np.int64(4))]
+            assert run_trials(_sum_pair, pairs, pool=pool) == [3, 7]
 
 
 class TestSequentialFallback:
     def test_single_worker_is_serial(self):
         with TrialPool(max_workers=1) as pool:
-            pool.map(_draw_floats, [1, 2, 3])
-            assert pool.last_stats.mode == "serial"
+            _, registry = _recorded_map(pool, _draw_floats, [1, 2, 3])
+        assert _mode(registry) == "serial"
 
     def test_lambda_falls_back_to_serial(self):
         """Pickling-hostile callables degrade gracefully, same results."""
         offset = 10.0
         fn = lambda seed: float(np.random.default_rng(seed).random()) + offset
         with TrialPool(max_workers=2) as pool:
-            got = pool.map(fn, [4, 5, 6])
-            assert pool.last_stats.mode == "serial"
+            got, registry = _recorded_map(pool, fn, [4, 5, 6])
+        assert _mode(registry) == "serial"
         assert got == [fn(s) for s in (4, 5, 6)]
 
     def test_single_trial_is_serial(self):
         with TrialPool(max_workers=4) as pool:
-            pool.map(_draw_floats, [9])
-            assert pool.last_stats.mode == "serial"
+            _, registry = _recorded_map(pool, _draw_floats, [9])
+        assert _mode(registry) == "serial"
 
     def test_empty_seeds(self):
         with TrialPool(max_workers=2) as pool:
-            assert pool.map(_draw_floats, []) == []
-            assert pool.last_stats.trials == 0
+            got, registry = _recorded_map(pool, _draw_floats, [])
+        assert got == []
+        assert _mode(registry) == "serial"
+        assert registry.counter_value("repro_pool_trials_total") == 0
+
+
+def _read_pages_trial(heapfile, seed: int) -> int:
+    """A trial that reads pages: the sum of two random pages' values."""
+    pages = np.random.default_rng(seed).integers(0, heapfile.num_pages, 2)
+    return int(heapfile.read_pages(pages).sum())
 
 
 class TestStats:
+    """The registry and the ``pool.map`` span are a map's only account."""
+
     def test_stats_fields(self):
-        with TrialPool(max_workers=2, chunk_size=2) as pool:
-            pool.map(_draw_floats, list(range(6)))
-            stats = pool.last_stats
-        assert stats.trials == 6
-        assert stats.mode == "process"
-        assert stats.num_chunks == 3
-        assert stats.elapsed_s > 0
-        assert stats.trial_time_total_s > 0
-        assert stats.trial_time_max_s <= stats.trial_time_total_s
-        assert stats.trial_time_mean_s == pytest.approx(
-            stats.trial_time_total_s / 6
-        )
+        with trace.tracing() as recorder:
+            with TrialPool(max_workers=2, chunk_size=2) as pool:
+                _, registry = _recorded_map(
+                    pool, _draw_floats, list(range(6))
+                )
+        assert registry.counter_value("repro_pool_trials_total") == 6
+        assert _mode(registry) == "process"
+        assert registry.gauge_value("repro_pool_workers") == 2
+        durations = registry.observations("repro_pool_trial_seconds")
+        assert len(durations) == 6 and all(d >= 0 for d in durations)
+        (span,) = [r for r in recorder.records if r.name == "pool.map"]
+        assert span.attrs == {"trials": 6, "mode": "process", "chunks": 3}
 
-    def test_page_reads_aggregated_and_records_unwrapped(self):
-        seeds = list(range(10))
-        with TrialPool(max_workers=2, chunk_size=3) as pool:
-            got = pool.map(_record_trial, seeds)
-            assert pool.last_stats.page_reads == sum(s % 7 for s in seeds)
-        assert got == [_record_trial(s).value for s in seeds]
-
-    def test_summary_mentions_mode(self):
-        with TrialPool(max_workers=1) as pool:
-            pool.map(_draw_floats, [1, 2])
-            assert "serial" in pool.last_stats.summary()
+    def test_page_reads_equal_at_any_worker_count(self):
+        heapfile = build_heapfile(np.arange(1, 2_001), "random", 25, rng=0)
+        fn = partial(_read_pages_trial, heapfile)
+        seeds = spawn_seeds(4, 10)
+        reads = {}
+        for workers in (1, 2):
+            with TrialPool(max_workers=workers, chunk_size=3) as pool:
+                got, registry = _recorded_map(pool, fn, seeds)
+            assert got == [fn(s) for s in seeds]
+            reads[workers] = registry.counter_value("repro_page_reads_total")
+        assert reads[1] == reads[2] == 20
 
 
 class TestSerialParallelEquivalence:
@@ -210,9 +225,9 @@ class TestSerialParallelEquivalence:
     def test_chunking_does_not_change_results(self):
         seeds = spawn_seeds(11, 8)
         expected = [_draw_floats(s) for s in seeds]
-        with TrialPool(max_workers=2) as pool:
-            for chunk in (1, 2, 3, 8):
-                assert pool.map(_draw_floats, seeds, chunk_size=chunk) == expected
+        for chunk in (1, 2, 3, 8):
+            with TrialPool(max_workers=2, chunk_size=chunk) as pool:
+                assert pool.map(_draw_floats, seeds) == expected
 
 
 class TestRunnerKernelEquivalence:
@@ -228,24 +243,29 @@ class TestRunnerKernelEquivalence:
         hf, values = heapfile_and_values
         serial = mean_error_at_rate(hf, values, 0.05, 20, trials=5, rng=1)
         for workers in (2, 4):
-            par = mean_error_at_rate(
-                hf, values, 0.05, 20, trials=5, rng=1, workers=workers
-            )
+            with TrialPool(max_workers=workers) as pool:
+                par = mean_error_at_rate(
+                    hf, values, 0.05, 20, trials=5, rng=1, pool=pool
+                )
             assert par == serial
 
     def test_required_blocks_for_error(self, heapfile_and_values):
         hf, values = heapfile_and_values
         serial = required_blocks_for_error(hf, values, 20, 0.25, trials=5, rng=3)
-        par = required_blocks_for_error(
-            hf, values, 20, 0.25, trials=5, rng=3, workers=2
-        )
+        with TrialPool(max_workers=2) as pool:
+            par = required_blocks_for_error(
+                hf, values, 20, 0.25, trials=5, rng=3, pool=pool
+            )
         assert par == serial
 
     def test_mean_cvb_cost_with_closure_falls_back(self, heapfile_and_values):
         _, values = heapfile_and_values
         make = lambda r: build_heapfile(values, "random", 25, rng=r)
         serial = mean_cvb_cost(make, values, 10, 0.3, trials=2, rng=5)
-        par = mean_cvb_cost(make, values, 10, 0.3, trials=2, rng=5, workers=2)
+        with TrialPool(max_workers=2) as pool:
+            par = mean_cvb_cost(
+                make, values, 10, 0.3, trials=2, rng=5, pool=pool
+            )
         assert par == serial
 
     def test_mean_cvb_cost_parallel_with_picklable_factory(
@@ -254,12 +274,12 @@ class TestRunnerKernelEquivalence:
         _, values = heapfile_and_values
         make = partial(_make_heapfile, values)
         serial = mean_cvb_cost(make, values, 10, 0.3, trials=3, rng=5)
-        pool = TrialPool(max_workers=2)
-        try:
-            par = mean_cvb_cost(make, values, 10, 0.3, trials=3, rng=5, pool=pool)
-            assert pool.last_stats.mode == "process"
-        finally:
-            pool.close()
+        with TrialPool(max_workers=2) as pool:
+            with metrics.collecting() as registry:
+                par = mean_cvb_cost(
+                    make, values, 10, 0.3, trials=3, rng=5, pool=pool
+                )
+        assert _mode(registry) == "process"
         assert par == serial
 
     def test_shared_pool_is_reused_across_kernels(self, heapfile_and_values):
@@ -310,8 +330,9 @@ class TestCleanShutdownOnFailure:
                 pool.map(_poison, [5, 13, 6, 7])
             # A fresh executor spins up transparently; results are still
             # bit-identical to the serial loop.
-            assert pool.map(_poison, seeds) == expected
-            assert pool.last_stats.mode == "process"
+            got, registry = _recorded_map(pool, _poison, seeds)
+        assert got == expected
+        assert _mode(registry) == "process"
 
     def test_serial_mode_propagates_without_pool_state(self):
         with TrialPool(max_workers=1) as pool:

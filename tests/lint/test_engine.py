@@ -1,10 +1,9 @@
-"""Engine-level behaviour: suppressions, baselines, reports, golden JSON.
+"""Engine-level behaviour: suppressions, reports, golden JSON.
 
 Covers the machinery around the rules: inline ``# repro: noqa[...]``
 handling (suppression, justification text, stale-suppression NOQA001,
-rule-subset scoping), baseline diffing (multiset semantics, round-trip,
-validation), deterministic rendering (text + schema-versioned JSON), and
-a golden full-run over the fixture mini-repo.
+rule-subset scoping), deterministic rendering (text + schema-versioned
+JSON), and a golden full-run over the fixture mini-repo.
 
 Regenerate the golden report after intentional changes with
 ``REPRO_REGEN_GOLDEN=1`` (see the ``golden`` fixture in the root conftest).
@@ -21,15 +20,11 @@ from repro.exceptions import ParameterError
 from repro.lint import (
     LINT_SCHEMA_VERSION,
     RULES,
-    apply_baseline,
     lint_text,
-    load_baseline,
-    make_baseline,
     render_json,
     render_text,
     rule_ids,
     run_lint,
-    write_baseline,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -101,56 +96,6 @@ class TestSuppressions:
         )
         report = lint_text(src, root=FIXTURES, rules=["DOC001"])
         assert report.findings == []
-
-
-class TestBaseline:
-    SRC = (
-        '"""m."""\nimport time\n'
-        "_A = time.time()\n"
-        "_B = time.time()\n"
-    )
-
-    def _report(self):
-        return lint_text(self.SRC, root=FIXTURES)
-
-    def test_baseline_absorbs_known_findings(self):
-        report = self._report()
-        assert len(report.findings) == 2
-        remaining = apply_baseline(report, make_baseline(report))
-        assert remaining.findings == []
-
-    def test_new_instance_of_known_violation_still_fails(self):
-        """Multiset semantics: N baselined, N+1 present -> 1 fresh."""
-        report = self._report()
-        one = make_baseline(
-            lint_text('"""m."""\nimport time\n_A = time.time()\n',
-                      root=FIXTURES)
-        )
-        remaining = apply_baseline(report, one)
-        assert len(remaining.findings) == 1
-
-    def test_baseline_is_line_insensitive(self):
-        shifted = lint_text(
-            '"""m."""\nimport time\n\n\n_A = time.time()\n'
-            "_B = time.time()\n",
-            root=FIXTURES,
-        )
-        remaining = apply_baseline(shifted, make_baseline(self._report()))
-        assert remaining.findings == []
-
-    def test_write_load_round_trip(self, tmp_path):
-        report = self._report()
-        path = tmp_path / "baseline.json"
-        write_baseline(report, path)
-        doc = load_baseline(path)
-        assert doc["schema_version"] == LINT_SCHEMA_VERSION
-        assert apply_baseline(report, doc).findings == []
-
-    def test_load_rejects_non_baseline_documents(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"kind": "bench"}))
-        with pytest.raises(ParameterError, match="not a lint baseline"):
-            load_baseline(path)
 
 
 class TestRendering:

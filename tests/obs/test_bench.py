@@ -5,29 +5,22 @@ Tier-1 home of the perf-observability guarantees:
 - the scenario registry is well-formed and fully described,
 - a bench run's **logical section** is byte-identical across runs with the
   same seed and scale,
-- the comparator passes a self-compare, fails on an injected logical
-  regression, and never compares wall-clock,
 - declared wall gates pass exactly at their bound and fail above it,
 - ``--profile`` writes ``.pstats`` files that ``pstats`` can load, and
 - the full registry at smoke scale still matches the checked-in
-  ``benchmarks/baseline.json``, byte for byte — the in-repo logical-cost
-  regression gate.
+  ``benchmarks/baseline.json``, byte for byte, through the ``golden``
+  fixture — the in-repo logical-cost regression gate.
 """
 
 from __future__ import annotations
 
 import copy
-import json
-import pathlib
 import pstats
 
 import pytest
 
 from repro.exceptions import ParameterError
 from repro.obs import bench
-
-ROOT = pathlib.Path(__file__).resolve().parents[2]
-BASELINE = ROOT / "benchmarks" / "baseline.json"
 
 #: Cheap subset covering both heapfile-backed and in-memory scenarios.
 SUBSET = ["record_sampling", "merge_equi_height", "distinct_gee"]
@@ -113,57 +106,6 @@ class TestDeterminism:
             assert not any(key.startswith(name) for key in counters)
 
 
-class TestComparator:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return bench.run_bench(scenarios=SUBSET, **FAST)
-
-    def test_self_compare_passes(self, report):
-        failures, _notes = bench.compare_reports(report, report)
-        assert failures == []
-
-    def test_injected_logical_regression_fails(self, report):
-        doctored = copy.deepcopy(report)
-        logical = doctored["scenarios"]["record_sampling"]["logical"]
-        logical["io"]["page_reads"] = logical["io"].get("page_reads", 0) + 7
-        failures, _notes = bench.compare_reports(report, doctored)
-        assert any(
-            "record_sampling" in f and "page_reads" in f for f in failures
-        )
-
-    def test_missing_scenario_fails_new_scenario_notes(self, report):
-        shrunk = copy.deepcopy(report)
-        del shrunk["scenarios"]["distinct_gee"]
-        failures, _ = bench.compare_reports(shrunk, report)
-        assert any("distinct_gee" in f and "missing" in f for f in failures)
-        _, notes = bench.compare_reports(report, shrunk)
-        assert any("distinct_gee" in n and "new scenario" in n for n in notes)
-
-    def test_wall_clock_is_never_compared(self, report):
-        slow = copy.deepcopy(report)
-        for entry in slow["scenarios"].values():
-            entry["wall"]["median_s"] *= 100
-        assert bench.compare_reports(slow, report) == ([], [])
-        assert bench.compare_reports(report, slow) == ([], [])
-
-    def test_baseline_holds_only_what_compare_reads(self, report):
-        baseline = bench.baseline_of(report)
-        assert set(baseline) == {"schema_version", "scale", "seed", "scenarios"}
-        for name, entry in baseline["scenarios"].items():
-            assert entry == {"logical": report["scenarios"][name]["logical"]}
-        assert bench.compare_reports(report, baseline) == ([], [])
-
-    def test_schema_or_scale_mismatch_fails_fast(self, report):
-        other = copy.deepcopy(report)
-        other["schema_version"] = 99
-        failures, _ = bench.compare_reports(report, other)
-        assert any("schema_version mismatch" in f for f in failures)
-        other = copy.deepcopy(report)
-        other["scale"] = "default"
-        failures, _ = bench.compare_reports(report, other)
-        assert any("scale mismatch" in f for f in failures)
-
-
 class TestWallGates:
     """Declared wall gates: verdicts in the wall section, exact bound."""
 
@@ -218,25 +160,16 @@ class TestProfiling:
 class TestBaselineGate:
     """The checked-in baseline is the repo's logical-cost regression gate."""
 
-    REGENERATE = (
-        "if intentional, regenerate with `python -m repro bench --scale "
-        "smoke --repeats 1 --warmup 0 --update-baseline`"
-    )
-
-    def test_full_smoke_run_matches_checked_in_baseline(self, tmp_path):
-        baseline = json.loads(BASELINE.read_text())
+    def test_full_smoke_run_matches_checked_in_baseline(self, tmp_path, golden):
         report = bench.run_bench(**FAST)
-        failures, _notes = bench.compare_reports(report, baseline)
-        assert failures == [], (
-            "bench logical costs drifted from benchmarks/baseline.json; "
-            f"{self.REGENERATE}:\n" + "\n".join(failures)
-        )
-        # What --update-baseline would write is the checked-in file itself,
-        # so regenerating it on an unchanged commit is a no-op.
-        fresh = bench.write_report(
+        baseline = bench.write_report(
             bench.baseline_of(report), tmp_path / "baseline.json"
         )
-        assert fresh.read_bytes() == BASELINE.read_bytes(), (
-            "benchmarks/baseline.json is not what --update-baseline "
-            f"writes; {self.REGENERATE}"
-        )
+        golden("benchmarks/baseline.json", baseline.read_text())
+
+    def test_baseline_holds_logical_sections_only(self):
+        report = bench.run_bench(scenarios=SUBSET, **FAST)
+        baseline = bench.baseline_of(report)
+        assert set(baseline) == {"schema_version", "scale", "seed", "scenarios"}
+        for name, entry in baseline["scenarios"].items():
+            assert entry == {"logical": report["scenarios"][name]["logical"]}

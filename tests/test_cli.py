@@ -45,6 +45,17 @@ class TestPlan:
         assert "not a finite number" in err
         assert "Traceback" not in err
 
+    def test_gamma_whose_inverse_overflows_is_clean_error(self, capsys):
+        code = main(
+            ["plan", "--n", "1000", "--k", "10", "--r", "5",
+             "--gamma", "1e-320"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "not a finite number" in captured.err
+        assert "Traceback" not in captured.err
+        assert "inf" not in captured.out
+
 
 class TestDemo:
     def test_demo_runs(self, capsys):
@@ -377,45 +388,6 @@ class TestBench:
             "distinct_gee", "merge_equi_height",
         ]
 
-    def test_compare_fails_on_doctored_baseline(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        args = self.BENCH + self.SUBSET + ["--out", str(out)]
-        assert main(args) == 0
-        baseline = json.loads(out.read_text())
-        logical = baseline["scenarios"]["merge_equi_height"]["logical"]
-        logical["result"]["page_reads"] = (
-            logical["result"].get("page_reads", 0) + 999
-        )
-        doctored = tmp_path / "baseline.json"
-        doctored.write_text(json.dumps(baseline))
-        capsys.readouterr()
-        code = main(args + ["--compare", str(doctored)])
-        assert code == 3
-        assert "regression" in capsys.readouterr().err
-
-    def test_compare_passes_against_own_report(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        args = self.BENCH + self.SUBSET + ["--out", str(out)]
-        assert main(args) == 0
-        code = main(args + ["--compare", str(out)])
-        assert code == 0
-        assert "comparison passed" in capsys.readouterr().err
-
-    def test_update_baseline_writes_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "bench.json"
-        code = main(
-            self.BENCH + self.SUBSET
-            + ["--out", str(out), "--update-baseline"]
-        )
-        assert code == 0
-        from repro.obs import bench
-
-        baseline = json.loads(
-            (tmp_path / "benchmarks" / "baseline.json").read_text()
-        )
-        assert baseline == bench.baseline_of(json.loads(out.read_text()))
-
     def test_run_without_out_writes_no_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(self.BENCH + self.SUBSET) == 0
@@ -472,6 +444,18 @@ class TestBench:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--compare", "benchmarks/baseline.json"],
+                 ["--update-baseline"]],
+    )
+    def test_baseline_flags_are_usage_errors(self, flag, capsys):
+        # The test suite checks benchmarks/baseline.json like every golden
+        # file, and REPRO_REGEN_GOLDEN=1 rewrites it.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestLint:
     FIXTURES = str(
@@ -511,19 +495,16 @@ class TestLint:
         assert main(["lint", "--rules", "NOPE123"]) == 1
         assert "unknown lint rule" in capsys.readouterr().err
 
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "lint-baseline.json"
-        code = main(
-            ["lint", "--root", self.FIXTURES,
-             "--write-baseline", str(baseline)]
-        )
-        assert code == 0
-        assert baseline.exists()
-        code = main(
-            ["lint", "--root", self.FIXTURES, "--baseline", str(baseline)]
-        )
-        assert code == 0
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "flags", [["--baseline", "x.json"], ["--write-baseline", "x.json"]]
+    )
+    def test_baseline_flags_are_usage_errors(self, flags, capsys):
+        # The repo is gated at zero findings; the one suppression is the
+        # inline `# repro: noqa[RULE]` comment.
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--flow"], ["--graph", "x.dot"]])
     def test_flow_flags_are_usage_errors(self, flags, capsys):
