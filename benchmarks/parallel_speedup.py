@@ -67,7 +67,8 @@ def test_parallel_sweep_is_bit_identical_and_fast():
     heapfile = build_heapfile(
         dataset_values, "random", scale.blocking_factor, rng=1
     )
-    values = dataset_values
+    # The runner measures against the sorted column (its ground truth).
+    values = np.sort(dataset_values)
 
     with TrialPool(max_workers=1) as serial_pool:
         serial_errors, serial_wall, serial_registry = _sweep(

@@ -450,12 +450,16 @@ class CVBSampler:
                 index=len(iterations),
                 requested_blocks=int(want),
             ) as iteration_span:
+                # Sort once: f′ reads sorted values, and the same sorted
+                # increment is what the merge below folds in.
                 if cfg.validation == "one_per_block":
                     increment, validation_values = (
                         stream.take_one_tuple_per_block(want, rng=generator)
                     )
+                    increment = np.sort(increment)
+                    validation_values = np.sort(validation_values)
                 else:
-                    increment = stream.take(want)
+                    increment = np.sort(stream.take(want))
                     validation_values = increment
                 if increment.size == 0:
                     iteration_span.set(empty_increment=True)
@@ -470,7 +474,7 @@ class CVBSampler:
                 # Step 4(c): merge and rebuild H_i whether or not the test
                 # passed (the algorithm box outputs the *rebuilt* histogram
                 # on exit).
-                sample = kernels.merge_sorted(sample, np.sort(increment))
+                sample = kernels.merge_sorted(sample, increment)
                 histogram = EquiHeightHistogram.from_sorted_values(
                     sample, cfg.k
                 )
@@ -554,7 +558,11 @@ class CVBSampler:
         accumulated_sample: np.ndarray,
         validation_values: np.ndarray,
     ) -> tuple[float, float]:
-        """Return ``(observed_error, threshold)`` for the configured metric."""
+        """Return ``(observed_error, threshold)`` for the configured metric.
+
+        Both value arrays arrive sorted, as :func:`fractional_max_error`
+        requires.
+        """
         cfg = self.config
         if validation_values.size == 0:
             return float("inf"), 0.0

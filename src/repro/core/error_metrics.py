@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import EmptyDataError, ParameterError
-from . import kernels
 from .histogram import EquiHeightHistogram
 
 __all__ = [
@@ -231,27 +230,27 @@ def fractional_max_error(
     values are skipped (the metric is undefined there, and such ranges carry
     no histogram information).
 
+    Both value sets must be **sorted** (the caller's promise, as for
+    :meth:`~repro.core.histogram.EquiHeightHistogram.from_sorted_values`):
+    the two CDFs are read at the ``m <= k - 1`` distinct separators by
+    binary search, ``O(k log n)`` with no sort and no sortedness probe.
+    Unsorted input gives a wrong answer, not an error.
+
     Parameters
     ----------
     separators:
         The histogram's separators (duplicates allowed).
     reference_values:
-        The value multiset that induced the separators (the accumulated
-        sample ``R`` in CVB).
+        The sorted value multiset that induced the separators (the
+        accumulated sample ``R`` in CVB).
     observed_values:
-        The value multiset being checked against the histogram (the fresh
-        increment ``R_i``, or the full data for ground-truth evaluation).
+        The sorted value multiset being checked against the histogram (the
+        fresh increment ``R_i``, or the full data for ground-truth
+        evaluation).
     """
     separators = np.asarray(separators, dtype=np.float64)
-    # ensure_sorted skips the O(n log n) sort when the input is already
-    # ordered — the CVB accumulated sample always is, which makes this the
-    # dominant saving of the validation step.
-    reference = kernels.ensure_sorted(
-        np.asarray(reference_values, dtype=np.float64)
-    )
-    observed = kernels.ensure_sorted(
-        np.asarray(observed_values, dtype=np.float64)
-    )
+    reference = np.asarray(reference_values, dtype=np.float64)
+    observed = np.asarray(observed_values, dtype=np.float64)
     if reference.size == 0 or observed.size == 0:
         raise EmptyDataError("fractional max error needs non-empty value sets")
 

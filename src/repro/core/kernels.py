@@ -18,9 +18,14 @@ inner loops as numpy-batched **kernels**, one implementation each:
   probe again skips the sort whenever the caller's column already is);
 - :func:`merge_sorted` — the batched CVB increment step: fold a fresh
   sorted increment into the accumulated sorted sample;
-- :func:`ensure_sorted` — sorted view used by the Δmax/f′ metrics, skipping
-  the re-sort when the input is already ordered (the CVB accumulated
-  sample always is);
+- :func:`ensure_sorted` — sorted view of a sample or column, skipping the
+  sort when the input is already ordered (the CVB accumulated sample and
+  generated datasets always are);
+- :func:`run_lengths` — per-value counts of any array, the
+  ``np.unique(..., return_counts=True)`` counts as run lengths of its
+  :func:`ensure_sorted` view, so sorted input is never sorted again
+  (frequency profiles, self-join density, the clustered layouts, distinct
+  counts);
 - :func:`one_per_block_draws` — the per-block representative draws of the
   Section 4.2 validation twist, batched through one ``Generator.integers``
   call.
@@ -50,6 +55,7 @@ __all__ = [
     "eq_counts_sorted",
     "merge_sorted",
     "ensure_sorted",
+    "run_lengths",
     "one_per_block_draws",
 ]
 
@@ -193,9 +199,9 @@ def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ensure_sorted(values: np.ndarray) -> np.ndarray:
     """*values* in non-decreasing order (a copy only when sorting is needed).
 
-    The f′ metric re-validates the CVB accumulated sample every round, and
-    that sample is maintained sorted: an ``O(n)`` sortedness probe skips the
-    ``O(n log n)`` sort.  NaNs make the probe fail, falling back to the
+    An ``O(n)`` sortedness probe skips the ``O(n log n)`` sort for input
+    that is already ordered, such as the CVB accumulated sample or a
+    generated dataset.  NaNs make the probe fail, falling back to the
     sort.  Callers must treat the result as read-only: it is the input
     itself when that is already sorted.
     """
@@ -203,6 +209,27 @@ def ensure_sorted(values: np.ndarray) -> np.ndarray:
     if _is_sorted(values):
         return values
     return np.sort(values)
+
+
+def run_lengths(values: np.ndarray) -> np.ndarray:
+    """Per-value counts of *values* in value order, as
+    ``np.unique(values, return_counts=True)[1]`` returns them.
+
+    Any order and shape: the flattened input goes through
+    :func:`ensure_sorted`, so an already-ordered column is counted without
+    a sort, and the counts are the lengths of its runs of equal values.
+    Run boundaries come from one boolean mask of value changes, with a
+    sentinel at each end, so the lengths are one ``flatnonzero`` and one
+    ``diff``.  NaNs sort last and, as in ``np.unique``, count as one value.
+    """
+    values = ensure_sorted(np.ravel(values))
+    boundary = np.empty(values.size + 1, dtype=bool)
+    boundary[0] = boundary[-1] = True
+    np.not_equal(values[1:], values[:-1], out=boundary[1:-1])
+    if values.dtype.kind == "f" and values.size and np.isnan(values[-1]):
+        first_nan = np.searchsorted(values, values[-1], side="left")
+        boundary[first_nan + 1 : -1] = False
+    return np.diff(np.flatnonzero(boundary))
 
 
 def one_per_block_draws(

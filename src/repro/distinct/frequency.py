@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import kernels
 from ..exceptions import EmptyDataError
 
 __all__ = ["FrequencyProfile"]
@@ -35,15 +36,22 @@ class FrequencyProfile:
 
     @classmethod
     def from_sample(cls, sample: np.ndarray) -> "FrequencyProfile":
-        """Compute the profile of *sample* (any order, any dtype)."""
+        """Compute the profile of *sample* (any order, any dtype).
+
+        The sample is sorted at most once (not at all when it already is),
+        its run lengths are the per-value counts, and a ``bincount`` of
+        those counts gives ``f_j``.  NaNs count as one value, as in
+        ``np.unique``.
+        """
         sample = np.asarray(sample)
         if sample.size == 0:
             raise EmptyDataError("cannot profile an empty sample")
-        _, per_value = np.unique(sample, return_counts=True)
-        levels, f = np.unique(per_value, return_counts=True)
+        per_value = kernels.run_lengths(sample)
+        tally = np.bincount(per_value)
+        levels = np.flatnonzero(tally)
         return cls(
             occurrence_counts=levels.astype(np.int64),
-            value_counts=f.astype(np.int64),
+            value_counts=tally[levels].astype(np.int64),
         )
 
     @property

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import kernels
 from ..exceptions import EmptyDataError, ParameterError
 
 __all__ = [
@@ -43,7 +44,7 @@ def column_density(values: np.ndarray) -> float:
     values = np.asarray(values)
     if values.size == 0:
         raise EmptyDataError("cannot compute the density of an empty column")
-    distinct = int(np.unique(values).size)
+    distinct = int(kernels.run_lengths(values).size)
     return density_from_counts(values.size, distinct)
 
 
@@ -69,7 +70,7 @@ def selfjoin_density(values: np.ndarray) -> float:
     values = np.asarray(values)
     if values.size == 0:
         raise EmptyDataError("cannot compute the density of an empty column")
-    _, counts = np.unique(values, return_counts=True)
+    counts = kernels.run_lengths(values)
     n = values.size
     return float(((counts / n) ** 2).sum())
 
@@ -96,7 +97,7 @@ def selfjoin_density_from_sample(sample: np.ndarray, n: int | None = None) -> fl
     if r == 1:
         pair_collision = 1.0
     else:
-        _, counts = np.unique(sample, return_counts=True)
+        counts = kernels.run_lengths(sample)
         collisions = float((counts * (counts - 1)).sum())
         pair_collision = collisions / (r * (r - 1.0))
     if n is None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import kernels
 from ..exceptions import EmptyDataError, ParameterError
 from ..workloads.queries import RangeQuery, true_range_count
 
@@ -113,9 +114,7 @@ def evaluate_workload(
         raise ParameterError("workload must contain at least one query")
     sorted_values = np.asarray(sorted_values)
     # One O(n) pass per workload; NaN fails the comparison like a descent.
-    if sorted_values.ndim != 1 or not np.all(
-        sorted_values[1:] >= sorted_values[:-1]
-    ):
+    if sorted_values.ndim != 1 or not kernels._is_sorted(sorted_values):
         raise ParameterError(
             "sorted_values must be a one-dimensional, non-decreasing array "
             f"without NaN (got shape {sorted_values.shape})"

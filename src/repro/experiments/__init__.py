@@ -24,7 +24,6 @@ from .runner import (
     build_heapfile,
     cvb_sampling_cost,
     error_at_rate,
-    histogram_quality,
     mean_cvb_cost,
     mean_error_at_rate,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "build_heapfile",
     "cvb_sampling_cost",
     "error_at_rate",
-    "histogram_quality",
     "mean_cvb_cost",
     "mean_error_at_rate",
 ]

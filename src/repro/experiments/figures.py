@@ -18,6 +18,7 @@ import numpy as np
 
 from .._rng import RngLike, spawn_rngs, spawn_seeds
 from ..distinct.estimators import GEEEstimator
+from ..distinct.frequency import FrequencyProfile
 from ..distinct.metrics import rel_error
 from ..sampling.block_sampler import sample_blocks
 from ..storage.record import RecordSpec
@@ -273,11 +274,13 @@ def figure8(
 
 def _dv_trial(task: tuple, seed: int) -> tuple[int, float]:
     """Picklable per-trial kernel of the DV sweep: one block sample's
-    in-sample distinct count and GEE estimate."""
+    in-sample distinct count and GEE estimate, both read from one
+    frequency profile."""
     heapfile, num_blocks, n = task
-    sample = sample_blocks(heapfile, num_blocks, rng=seed)
-    samp = int(np.unique(sample).size)
-    return samp, GEEEstimator().estimate_from_sample(sample, n)
+    profile = FrequencyProfile.from_sample(
+        sample_blocks(heapfile, num_blocks, rng=seed)
+    )
+    return profile.distinct_in_sample, GEEEstimator().estimate(profile, n)
 
 
 def _distinct_value_sweep(

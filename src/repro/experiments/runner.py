@@ -10,6 +10,12 @@ Two kinds of measurement appear in Section 7:
 Histogram quality is measured with the duplicate-safe fractional max error
 f′ (Definition 4) by default, which coincides with the plain fraction ``f``
 on duplicate-free data; the count metric is available for comparison.
+
+Every public function checks its ground truth once, in the calling process,
+before any trial runs: *sorted_values* must be a one-dimensional, non-empty,
+finite, non-decreasing column, and bad input raises
+:class:`~repro.exceptions.ParameterError` instead of being sorted.  Trials
+receive that checked float64 array and read it by contract.
 """
 
 from __future__ import annotations
@@ -20,10 +26,11 @@ from functools import partial
 import numpy as np
 
 from .._rng import RngLike, ensure_rng, spawn_seeds
+from ..core import kernels
 from ..core.adaptive import CVBConfig, CVBResult, CVBSampler
 from ..core.error_metrics import fractional_max_error, histogram_max_error_fraction
 from ..core.histogram import EquiHeightHistogram
-from ..exceptions import ParameterError
+from ..exceptions import EmptyDataError, ParameterError
 from ..sampling.block_sampler import sample_blocks
 from ..sampling.schedule import StepSchedule
 from ..storage.heapfile import HeapFile
@@ -31,7 +38,6 @@ from .parallel import TrialPool, run_trials
 
 __all__ = [
     "build_heapfile",
-    "histogram_quality",
     "error_at_rate",
     "mean_error_at_rate",
     "required_blocks_for_error",
@@ -58,18 +64,48 @@ def build_heapfile(
     )
 
 
-def histogram_quality(
-    sample: np.ndarray,
-    sorted_values: np.ndarray,
-    k: int,
-    metric: str = "fractional",
-) -> float:
-    """Error of the histogram built from *sample*, against the full data."""
+def _ground_truth(sorted_values: np.ndarray) -> np.ndarray:
+    """*sorted_values* as the checked float64 column trials measure against.
+
+    One ``O(n)`` pass: a NaN fails the order comparison like a descent, and
+    on a sorted column the two ends bound every value, so they alone decide
+    finiteness.
+    """
+    truth = np.asarray(sorted_values, dtype=np.float64)
+    if truth.ndim != 1:
+        raise ParameterError(
+            "sorted_values must be one-dimensional "
+            f"(got shape {truth.shape})"
+        )
+    if truth.size == 0:
+        raise EmptyDataError("sorted_values is empty")
+    if not (kernels._is_sorted(truth) and np.isfinite(truth[[0, -1]]).all()):
+        raise ParameterError(
+            "sorted_values must be finite and non-decreasing"
+        )
+    return truth
+
+
+def _blocks_at_rate(heapfile: HeapFile, rate: float) -> int:
+    """Blocks sampled at *rate* of the file's pages (at least one)."""
+    if not 0 < rate <= 1:
+        raise ParameterError(f"rate must be in (0, 1], got {rate}")
+    return max(1, round(rate * heapfile.num_pages))
+
+
+def _histogram_quality(task: tuple, seed) -> float:
+    """Picklable per-trial body: the error of the histogram built from one
+    block sample, against the checked ground truth.
+
+    The sample is sorted once; the histogram and f′ both read that array.
+    """
+    heapfile, truth, num_blocks, k, metric = task
+    sample = np.sort(sample_blocks(heapfile, num_blocks, rng=seed))
     histogram = EquiHeightHistogram.from_values(sample, k)
     if metric == "fractional":
-        return fractional_max_error(histogram.separators, sample, sorted_values)
+        return fractional_max_error(histogram.separators, sample, truth)
     if metric == "count":
-        return histogram_max_error_fraction(histogram, sorted_values)
+        return histogram_max_error_fraction(histogram, truth)
     raise ParameterError(f"metric must be 'fractional' or 'count', got {metric!r}")
 
 
@@ -82,19 +118,9 @@ def error_at_rate(
     metric: str = "fractional",
 ) -> float:
     """Sample *rate* of the file's blocks once and measure histogram error."""
-    if not 0 < rate <= 1:
-        raise ParameterError(f"rate must be in (0, 1], got {rate}")
-    num_blocks = max(1, round(rate * heapfile.num_pages))
-    sample = sample_blocks(heapfile, num_blocks, rng=rng)
-    return histogram_quality(sample, sorted_values, k, metric=metric)
-
-
-def _error_at_rate_trial(task: tuple, seed: int) -> float:
-    """Picklable per-trial kernel behind :func:`mean_error_at_rate`."""
-    heapfile, sorted_values, rate, k, metric = task
-    return error_at_rate(
-        heapfile, sorted_values, rate, k, rng=seed, metric=metric
-    )
+    num_blocks = _blocks_at_rate(heapfile, rate)
+    truth = _ground_truth(sorted_values)
+    return _histogram_quality((heapfile, truth, num_blocks, k, metric), rng)
 
 
 def mean_error_at_rate(
@@ -119,19 +145,12 @@ def mean_error_at_rate(
     """
     if trials <= 0:
         raise ParameterError(f"trials must be positive, got {trials}")
+    num_blocks = _blocks_at_rate(heapfile, rate)
+    truth = _ground_truth(sorted_values)
     seeds = spawn_seeds(rng, trials)
-    fn = partial(
-        _error_at_rate_trial, (heapfile, sorted_values, rate, k, metric)
-    )
+    fn = partial(_histogram_quality, (heapfile, truth, num_blocks, k, metric))
     errors = run_trials(fn, seeds, pool=pool)
     return float(np.median(errors))
-
-
-def _probe_trial(task: tuple, seed: int) -> float:
-    """Picklable per-trial kernel behind :func:`required_blocks_for_error`."""
-    heapfile, sorted_values, k, metric, num_blocks = task
-    sample = sample_blocks(heapfile, num_blocks, rng=seed)
-    return histogram_quality(sample, sorted_values, k, metric=metric)
 
 
 def required_blocks_for_error(
@@ -158,13 +177,12 @@ def required_blocks_for_error(
     """
     if not 0 < f <= 1:
         raise ParameterError(f"f must be in (0, 1], got {f}")
+    truth = _ground_truth(sorted_values)
     generator = ensure_rng(rng)
 
     def mean_error(num_blocks: int) -> float:
         seeds = spawn_seeds(int(generator.integers(0, 2**63)), trials)
-        fn = partial(
-            _probe_trial, (heapfile, sorted_values, k, metric, num_blocks)
-        )
+        fn = partial(_histogram_quality, (heapfile, truth, num_blocks, k, metric))
         errors = run_trials(fn, seeds, pool=pool)
         # Median: the fractional max error has a heavy upper tail near the
         # threshold (one under-sampled range dominates the max), and a mean
@@ -227,14 +245,16 @@ def cvb_sampling_cost(
     Scheduling defaults to :class:`CVBSampler`'s own: doubling from the
     prototype's ``5*sqrt(n)``-tuple initial sample (Section 7.1).
     """
+    truth = _ground_truth(sorted_values)
     config = CVBConfig(k=k, f=f, gamma=gamma, metric=metric, **config_kwargs)
     result: CVBResult = CVBSampler(config, schedule=schedule).run(heapfile, rng=rng)
     if metric == "fractional":
+        # The CVB accumulated sample is sorted, as f′ requires.
         achieved = fractional_max_error(
-            result.histogram.separators, result.sample, sorted_values
+            result.histogram.separators, result.sample, truth
         )
     else:
-        achieved = histogram_max_error_fraction(result.histogram, sorted_values)
+        achieved = histogram_max_error_fraction(result.histogram, truth)
     return CVBCost(
         sampling_rate=result.tuples_sampled / heapfile.num_records,
         blocks_sampled=result.pages_sampled,
@@ -247,12 +267,10 @@ def cvb_sampling_cost(
 
 def _cvb_trial(task: tuple, seed_pair: tuple) -> CVBCost:
     """Picklable per-trial kernel behind :func:`mean_cvb_cost`."""
-    make_heapfile, sorted_values, k, f, kwargs = task
+    make_heapfile, truth, k, f, kwargs = task
     build_seed, run_seed = seed_pair
     heapfile = make_heapfile(np.random.default_rng(build_seed))
-    return cvb_sampling_cost(
-        heapfile, sorted_values, k, f, rng=run_seed, **kwargs
-    )
+    return cvb_sampling_cost(heapfile, truth, k, f, rng=run_seed, **kwargs)
 
 
 def mean_cvb_cost(
@@ -275,9 +293,10 @@ def mean_cvb_cost(
     """
     if trials <= 0:
         raise ParameterError(f"trials must be positive, got {trials}")
+    truth = _ground_truth(sorted_values)
     seeds = spawn_seeds(rng, 2 * trials)
     seed_pairs = [(seeds[2 * i], seeds[2 * i + 1]) for i in range(trials)]
-    fn = partial(_cvb_trial, (make_heapfile, sorted_values, k, f, kwargs))
+    fn = partial(_cvb_trial, (make_heapfile, truth, k, f, kwargs))
     costs = run_trials(fn, seed_pairs, pool=pool)
     return CVBCost(
         sampling_rate=float(np.mean([c.sampling_rate for c in costs])),

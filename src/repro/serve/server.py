@@ -507,10 +507,23 @@ _STOPPING = {"ok": True, "op": SHUTDOWN_OP, "result": {"stopping": True}}
 
 
 def _encode(response: dict) -> bytes:
-    """One byte-stable JSON line (sorted keys, no whitespace variance)."""
-    return (
-        json.dumps(response, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode()
+    """One byte-stable JSON line (sorted keys, no whitespace variance).
+
+    JSON has no NaN or infinity, so a response holding one is answered
+    with a ``NonFiniteResult`` error envelope rather than invalid JSON.
+    """
+    try:
+        text = json.dumps(
+            response, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except ValueError:
+        return _encode({
+            "ok": False, "op": response.get("op"),
+            "error": "the result holds a NaN or infinity, which JSON "
+                     "cannot carry",
+            "code": "NonFiniteResult",
+        })
+    return (text + "\n").encode()
 
 
 def _listen(host: str, port: int) -> socket.socket:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._rng import RngLike
+from ..core import kernels
 from ..exceptions import ParameterError
 from . import distributions, zipf
 
@@ -64,7 +65,7 @@ class Dataset:
     @property
     def num_distinct(self) -> int:
         """Realised number of distinct values."""
-        return int(np.unique(self.values).size)
+        return int(kernels.run_lengths(self.values).size)
 
     def describe(self) -> str:
         """One-line human-readable description."""

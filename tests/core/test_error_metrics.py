@@ -174,7 +174,8 @@ class TestFractionalMaxError:
     def test_detects_distribution_mismatch(self):
         reference = np.arange(1, 1001)
         hist = EquiHeightHistogram.from_sorted_values(reference, 10)
-        observed = np.concatenate([np.arange(1, 501)] * 2)  # lower half only
+        # Lower half only, each value twice; sorted, as f′ requires.
+        observed = np.sort(np.concatenate([np.arange(1, 501)] * 2))
         err = fractional_max_error(hist.separators, reference, observed)
         assert err >= 0.9  # upper ranges hold ~0 observed mass
 

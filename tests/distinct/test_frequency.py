@@ -57,6 +57,19 @@ class TestFrequencyProfile:
         with pytest.raises(EmptyDataError):
             FrequencyProfile.from_sample(np.array([]))
 
+    def test_multidimensional_sample_is_one_multiset(self):
+        p = FrequencyProfile.from_sample(np.array([[3, 1], [1, 2]]))
+        assert p.occurrence_counts.tolist() == [1, 2]
+        assert p.value_counts.tolist() == [2, 1]
+
+    def test_nans_count_as_one_value(self):
+        """As with ``np.unique``: every NaN falls in one value's count."""
+        p = FrequencyProfile.from_sample(
+            np.array([np.nan, 1.0, np.nan, 2.0, 1.0, np.nan])
+        )
+        assert p.distinct_in_sample == 3
+        assert (p.f(1), p.f(2), p.f(3)) == (1, 1, 1)
+
     def test_works_on_floats_and_strings(self):
         p = FrequencyProfile.from_sample(np.array([0.5, 0.5, 1.5]))
         assert p.f(2) == 1

@@ -114,6 +114,20 @@ class TestSelfJoinDensity:
 
         assert selfjoin_density_from_sample(np.array([5])) == 1.0
 
+    def test_multidimensional_sample_is_one_multiset(self):
+        from repro.engine.density import selfjoin_density_from_sample
+
+        grid = np.array([[3, 1], [1, 2]])
+        assert selfjoin_density_from_sample(grid) == 2 / 12
+
+    def test_nans_collide_as_one_value(self):
+        """As with ``np.unique``: the NaNs form one value's count."""
+        from repro.engine.density import selfjoin_density_from_sample
+
+        sample = np.array([np.nan, 1.0, np.nan, 2.0, 1.0])
+        # counts {1.0: 2, 2.0: 1, NaN: 2}: 4 colliding ordered pairs of 20.
+        assert selfjoin_density_from_sample(sample) == 4 / 20
+
     def test_empty_rejected(self):
         from repro.engine.density import (
             selfjoin_density,

@@ -10,13 +10,15 @@ from repro.experiments.reporting import (
     format_table,
     paper_note,
 )
+from repro.experiments import runner
+from repro.experiments.parallel import TrialPool
 from repro.experiments.runner import (
     build_heapfile,
     cvb_sampling_cost,
     error_at_rate,
-    histogram_quality,
     mean_cvb_cost,
     mean_error_at_rate,
+    required_blocks_for_error,
 )
 from repro.exceptions import ParameterError
 
@@ -77,16 +79,19 @@ class TestReporting:
 
 
 class TestRunnerKernels:
-    def test_histogram_quality_zero_for_self(self):
+    def test_error_at_rate_zero_at_full_rate(self):
+        """Sampling every block rebuilds the perfect histogram: f′ = 0."""
         values = np.arange(1, 10_001)
-        assert histogram_quality(values, values, 10) == pytest.approx(
+        hf = build_heapfile(values, "random", 25, rng=0)
+        assert error_at_rate(hf, values, 1.0, 10, rng=1) == pytest.approx(
             0.0, abs=1e-12
         )
 
-    def test_histogram_quality_invalid_metric(self):
+    def test_error_at_rate_invalid_metric(self):
         values = np.arange(100)
+        hf = build_heapfile(values, "random", 25, rng=0)
         with pytest.raises(ParameterError):
-            histogram_quality(values, values, 5, metric="bogus")
+            error_at_rate(hf, values, 0.5, 5, rng=1, metric="bogus")
 
     def test_error_at_rate_decreases_with_rate(self, rng):
         values = np.arange(1, 50_001)
@@ -127,3 +132,82 @@ class TestRunnerKernels:
         values = np.arange(100)
         with pytest.raises(ParameterError):
             mean_cvb_cost(lambda r: None, values, 5, 0.2, trials=0)
+
+
+BAD_TRUTHS = {
+    "unsorted": np.array([3.0, 1.0, 2.0] * 100),
+    "two_d": np.arange(300.0).reshape(3, 100),
+    "nan": np.append(np.arange(299.0), np.nan),
+    "inf": np.append(np.arange(299.0), np.inf),
+    "empty": np.array([], dtype=np.float64),
+}
+
+_HEAPFILE = build_heapfile(np.arange(300), "random", 10, rng=0)
+
+
+def _make_heapfile(rng):
+    return build_heapfile(np.arange(300), "random", 10, rng=rng)
+
+
+#: The public runner entry points that take one sample or one CVB run.
+SINGLE = {
+    "error_at_rate": lambda truth: error_at_rate(
+        _HEAPFILE, truth, 0.5, 5, rng=1
+    ),
+    "cvb_sampling_cost": lambda truth: cvb_sampling_cost(
+        _HEAPFILE, truth, k=5, f=0.5, rng=1
+    ),
+}
+
+#: The public runner entry points that fan trials out over a pool.
+POOLED = {
+    "mean_error_at_rate": lambda truth, pool: mean_error_at_rate(
+        _HEAPFILE, truth, 0.5, 5, trials=4, rng=1, pool=pool
+    ),
+    "required_blocks_for_error": lambda truth, pool: required_blocks_for_error(
+        _HEAPFILE, truth, 5, 0.5, trials=4, rng=1, pool=pool
+    ),
+    "mean_cvb_cost": lambda truth, pool: mean_cvb_cost(
+        _make_heapfile, truth, 5, 0.5, trials=4, rng=1, pool=pool
+    ),
+}
+
+
+class TestGroundTruthChecked:
+    """Every entry point rejects a bad ground truth before any trial runs."""
+
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        """Fail the test if any sample is drawn or trial dispatched."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the truth was checked")
+
+        for name in ("run_trials", "sample_blocks", "CVBSampler"):
+            monkeypatch.setattr(runner, name, forbidden)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_TRUTHS))
+    @pytest.mark.parametrize("entry", sorted(SINGLE))
+    def test_bad_truth_raises_before_sampling(self, no_trials, entry, bad):
+        with pytest.raises(ParameterError):
+            SINGLE[entry](BAD_TRUTHS[bad])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", sorted(BAD_TRUTHS))
+    @pytest.mark.parametrize("entry", sorted(POOLED))
+    def test_bad_truth_raises_before_any_trial(
+        self, no_trials, entry, bad, workers
+    ):
+        with TrialPool(max_workers=workers) as pool:
+            with pytest.raises(ParameterError):
+                POOLED[entry](BAD_TRUTHS[bad], pool)
+
+    def test_checked_truth_gives_the_same_error_as_an_int_column(self):
+        """The float64 cast of the truth changes no measured value."""
+        values = np.repeat(np.arange(50), 40)
+        hf = build_heapfile(values, "random", 20, rng=2)
+        as_int = mean_error_at_rate(hf, values, 0.2, 8, trials=3, rng=3)
+        as_float = mean_error_at_rate(
+            hf, values.astype(np.float64), 0.2, 8, trials=3, rng=3
+        )
+        assert as_int == as_float

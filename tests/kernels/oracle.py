@@ -1,4 +1,4 @@
-"""Reference oracles for the six public kernels of :mod:`repro.core.kernels`.
+"""Reference oracles for the seven public kernels of :mod:`repro.core.kernels`.
 
 Each oracle is the straightforward per-record (or sort-everything)
 implementation the vectorized kernel replaced, with the same validation,
@@ -80,6 +80,11 @@ def ensure_sorted(values: np.ndarray) -> np.ndarray:
     return np.sort(np.asarray(values))
 
 
+def run_lengths(values: np.ndarray) -> np.ndarray:
+    """Sort and count each distinct value, whatever the input order."""
+    return np.unique(np.asarray(values), return_counts=True)[1]
+
+
 def one_per_block_draws(
     generator: np.random.Generator, sizes: np.ndarray
 ) -> np.ndarray:
@@ -98,6 +103,7 @@ ORACLES = {
     "separator_counts": separator_counts,
     "merge_sorted": merge_sorted,
     "ensure_sorted": ensure_sorted,
+    "run_lengths": run_lengths,
     "one_per_block_draws": one_per_block_draws,
 }
 

@@ -200,6 +200,36 @@ class TestFloatTiesAtSeparators:
         assert_arrays_identical(got["scalar"], got["vector"])
 
 
+class TestRunLengths:
+    """``run_lengths`` equals ``np.unique(..., return_counts=True)[1]``."""
+
+    CASES = {
+        "empty": np.array([], dtype=np.float64),
+        "single": np.array([4], dtype=np.int64),
+        "constant": np.full(300, 2.5),
+        "all_distinct": np.arange(-50, 250, dtype=np.int64),
+        "near_duplicate": np.sort(
+            np.tile([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)], 40)
+        ),
+        "signed_zero": np.array([-0.0, 0.0, -0.0, 1.0]),
+        "nan_tail": np.array([1.0, 1.0, 2.0, np.nan, np.nan, np.nan]),
+        "only_nan": np.full(3, np.nan),
+        "unsorted_nan": np.array([np.nan, 2.0, 1.0, np.nan, 1.0]),
+        "unsorted_int": np.array([3, 1, 3, 2, 1, 3], dtype=np.int64),
+        "two_d": np.array([[3, 1], [1, 2]], dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_oracle(self, case):
+        values = self.CASES[case]
+        got = run_both(lambda: kernels.run_lengths(values.copy()))
+        assert_arrays_identical(got["scalar"], got["vector"])
+
+    def test_nans_count_as_one_value(self):
+        counts = kernels.run_lengths(self.CASES["nan_tail"])
+        assert counts.tolist() == [2, 1, 3]
+
+
 class TestModeDispatch:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode must be one of"):

@@ -50,7 +50,7 @@ class TestKernelPairEquivalence:
 
     def test_registry_covers_both_modes(self):
         """Every public kernel has an oracle distinct from production."""
-        assert len(oracle.ORACLES) == 6
+        assert len(oracle.ORACLES) == 7
         for name, reference in oracle.ORACLES.items():
             assert name in kernels.__all__, name
             assert callable(getattr(kernels, name)), name
@@ -122,6 +122,14 @@ class TestKernelPairEquivalence:
         assert_arrays_identical(got["scalar"], got["vector"])
         assert np.array_equal(got["vector"], np.sort(values))
 
+    @given(values=datasets(min_size=0))
+    @settings(max_examples=120, deadline=None)
+    def test_run_lengths_identical(self, values):
+        for order in (values, np.sort(values)):
+            got = run_both(lambda: kernels.run_lengths(order.copy()))
+            assert_arrays_identical(got["scalar"], got["vector"])
+            assert got["vector"].sum() == values.size
+
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=200), max_size=64),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -183,6 +191,9 @@ class TestErrorMetricEquivalence:
     @given(values=datasets(), probe=datasets(), k=ks)
     @settings(max_examples=100, deadline=None)
     def test_fractional_max_error_identical(self, values, probe, k):
+        # f′ reads both value sets sorted, by contract.
+        values, probe = np.sort(values), np.sort(probe)
+
         def compute():
             hist = EquiHeightHistogram.from_values(values, k)
             return fractional_max_error(hist.separators, values, probe)

@@ -584,3 +584,153 @@ class TestConnectionThreads:
         _shutdown(host, port)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# What goes over the wire: strict JSON, one envelope per request line.
+# ----------------------------------------------------------------------
+
+
+def _strict_json(line: bytes) -> dict:
+    """Parse one answer line, refusing the NaN/Infinity JSON extensions."""
+
+    def refuse(constant):
+        raise AssertionError(f"answer holds {constant}, which is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+@pytest.fixture
+def front_end(tmp_path, monkeypatch):
+    """A served ``_server()``: yields ``(server, host, port)``, then shuts
+    the front end down and checks its thread ended."""
+    server = _server(seed=5)
+    thread, host, port = _serve_in_thread(server, tmp_path, monkeypatch)
+    yield server, host, port
+    _shutdown(host, port)
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+PING = b'{"op": "ping"}'
+
+
+def _roundtrip_raw(stream, line: bytes) -> bytes:
+    stream.write(line + b"\n")
+    stream.flush()
+    return stream.readline()
+
+
+class TestNonFiniteAnswers:
+    @pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_result_gets_typed_envelope(
+        self, front_end, monkeypatch, number
+    ):
+        server, host, port = front_end
+        monkeypatch.setattr(server, "_handle_stats", lambda: {"value": number})
+        sock, stream = _connect(host, port)
+        with sock:
+            _send(stream, {"op": "stats"})
+            answer = _strict_json(stream.readline())
+            assert answer["ok"] is False
+            assert answer["op"] == "stats"
+            assert answer["code"] == "NonFiniteResult"
+            # The same connection answers its next request.
+            assert _ok(_strict_json(_roundtrip_raw(stream, PING))) == {
+                "pong": True
+            }
+
+
+def _padded_ping(size: int) -> bytes:
+    """A ping request line of exactly *size* bytes (newline excluded)."""
+    return PING + b" " * (size - len(PING))
+
+
+def _read_answers(sock) -> list[dict]:
+    """Every answer line the server sends until it closes the connection."""
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return [_strict_json(line) for line in b"".join(chunks).splitlines()]
+
+
+class TestFraming:
+    """Socket-level framing: the server reads lines, not writes."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_line_split_across_writes(self, front_end, chunk):
+        _, host, port = front_end
+        line = PING + b"\n" + b'{"op": "status"}\n'
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for start in range(0, len(line), chunk):
+                sock.sendall(line[start : start + chunk])
+            sock.shutdown(socket.SHUT_WR)
+            answers = _read_answers(sock)
+        assert [a["op"] for a in answers] == ["ping", "status"]
+        assert all(a["ok"] for a in answers)
+
+    def test_several_lines_in_one_write(self, front_end):
+        _, host, port = front_end
+        lines = [PING, b"not json", b'{"op": "bogus"}', PING]
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(b"\n".join(lines) + b"\n")
+            sock.shutdown(socket.SHUT_WR)
+            answers = _read_answers(sock)
+        assert [(a["ok"], a.get("code")) for a in answers] == [
+            (True, None),
+            (False, "ProtocolError"),
+            (False, "ProtocolError"),
+            (True, None),
+        ]
+
+    def test_line_of_exactly_the_limit_is_answered(self, front_end):
+        _, host, port = front_end
+        sock, stream = _connect(host, port)
+        with sock:
+            answer = _strict_json(
+                _roundtrip_raw(stream, _padded_ping(LINE_LIMIT))
+            )
+            assert _ok(answer) == {"pong": True}
+            # Still the same connection, still framing on newlines.
+            assert _ok(_strict_json(_roundtrip_raw(stream, PING))) == {
+                "pong": True
+            }
+
+    def test_line_one_past_the_limit_is_too_long(self, front_end):
+        _, host, port = front_end
+        sock, stream = _connect(host, port)
+        with sock:
+            answer = _strict_json(
+                _roundtrip_raw(stream, _padded_ping(LINE_LIMIT + 1))
+            )
+            assert answer == server_module._TOO_LONG
+            try:
+                rest = stream.readline()
+            except ConnectionResetError:  # close raced the unread newline
+                rest = b""
+            assert rest == b""
+
+    def test_client_half_closing_mid_line(self, front_end):
+        """The complete line gets its envelope; the fragment that EOF cuts
+        off is answered as the (invalid) line it is; then the server
+        closes."""
+        _, host, port = front_end
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(PING + b'\n{"op": "pi')
+            sock.shutdown(socket.SHUT_WR)
+            answers = _read_answers(sock)
+        assert len(answers) == 2
+        assert _ok(answers[0]) == {"pong": True}
+        assert answers[1]["code"] == "ProtocolError"
+
+    def test_client_vanishing_mid_line(self, front_end):
+        _, host, port = front_end
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(b'{"op": "ping", "pad": "' + b"x" * 1000)
+        # The server lost only that connection.
+        sock, stream = _connect(host, port)
+        with sock:
+            assert _ok(_strict_json(_roundtrip_raw(stream, PING))) == {
+                "pong": True
+            }

@@ -24,6 +24,7 @@ from repro.core.histogram import EquiHeightHistogram, equi_height_separators
 from repro.distinct.estimators import GEEEstimator
 from repro.distinct.frequency import FrequencyProfile
 from repro.distinct.metrics import ratio_error
+from repro.engine.density import selfjoin_density_from_sample
 from repro.storage.layout import apply_layout
 from repro.workloads.zipf import zipf_counts
 
@@ -32,6 +33,17 @@ value_arrays = arrays(
     shape=st.integers(min_value=1, max_value=400),
     elements=st.integers(min_value=-10_000, max_value=10_000),
 )
+
+#: Floats with exact ties, ulp-separated near-ties and signed zeros.
+float_arrays = arrays(
+    dtype=np.float64,
+    shape=st.integers(min_value=1, max_value=400),
+    elements=st.sampled_from(
+        [-2.5, -0.0, 0.0, 1.0, float(np.nextafter(1.0, 2.0)), 3.75, 1e300]
+    ),
+)
+
+samples = st.one_of(value_arrays, float_arrays)
 
 count_arrays = arrays(
     dtype=np.int64,
@@ -135,6 +147,49 @@ class TestErrorMetricProperties:
         assert fractional_max_error(seps, data, data) <= 1e-9
 
 
+def _any_order_fractional_error(separators, reference, observed) -> float:
+    """Definition 4 on value sets in any order: each CDF at the distinct
+    separators is a direct count of the values at or below it."""
+    distinct = np.unique(np.asarray(separators, dtype=np.float64))
+
+    def fractions_leq(values):
+        values = np.asarray(values, dtype=np.float64)
+        counts = (values[:, None] <= distinct[None, :]).sum(axis=0)
+        return np.concatenate(([0.0], counts / values.size, [1.0]))
+
+    f_ranges = np.diff(fractions_leq(reference))
+    p_ranges = np.diff(fractions_leq(observed))
+    populated = f_ranges > 0
+    errors = (
+        np.abs(f_ranges[populated] - p_ranges[populated]) / f_ranges[populated]
+    )
+    return float(errors.max())
+
+
+class TestFractionalErrorContract:
+    @given(
+        reference=samples,
+        observed=samples,
+        k=st.integers(min_value=1, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_input_matches_the_any_order_definition(
+        self, reference, observed, k, seed
+    ):
+        """f′ on sorted value sets equals Definition 4 computed on the same
+        value sets shuffled: reading sorted input loses nothing."""
+        separators = equi_height_separators(np.sort(reference), k)
+        rng = np.random.default_rng(seed)
+        want = _any_order_fractional_error(
+            separators, rng.permutation(reference), rng.permutation(observed)
+        )
+        got = fractional_max_error(
+            separators, np.sort(reference), np.sort(observed)
+        )
+        assert got == want
+
+
 class TestLayoutProperties:
     @given(
         values=value_arrays,
@@ -155,6 +210,34 @@ class TestFrequencyProperties:
         assert p.sample_size == values.size
         assert p.distinct_in_sample == np.unique(values).size
         assert p.singletons + p.multiples == p.distinct_in_sample
+
+    @given(sample=samples)
+    @settings(max_examples=150, deadline=None)
+    def test_profile_matches_np_unique_on_unsorted_samples(self, sample):
+        _, per_value = np.unique(sample, return_counts=True)
+        levels, f = np.unique(per_value, return_counts=True)
+        p = FrequencyProfile.from_sample(sample)
+        np.testing.assert_array_equal(p.occurrence_counts, levels)
+        np.testing.assert_array_equal(p.value_counts, f)
+        assert p.occurrence_counts.dtype == p.value_counts.dtype == np.int64
+
+    @given(sample=samples, n_extra=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_selfjoin_density_matches_np_unique_on_unsorted_samples(
+        self, sample, n_extra
+    ):
+        n = sample.size + n_extra
+        _, counts = np.unique(sample, return_counts=True)
+        r = sample.size
+        if r == 1:
+            pair_collision = 1.0
+        else:
+            collisions = float((counts * (counts - 1)).sum())
+            pair_collision = collisions / (r * (r - 1.0))
+        assert selfjoin_density_from_sample(sample) == pair_collision
+        assert selfjoin_density_from_sample(sample, n=n) == (
+            (pair_collision * (n - 1.0) + 1.0) / n
+        )
 
     @given(values=value_arrays, n_extra=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=150, deadline=None)
