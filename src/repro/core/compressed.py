@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import EmptyDataError, ParameterError
+from . import kernels
 from .histogram import EquiHeightHistogram
 
 __all__ = ["SingletonBucket", "CompressedHistogram"]
@@ -86,7 +87,7 @@ class CompressedHistogram:
         if n == 0:
             raise EmptyDataError("cannot build a histogram over an empty value set")
 
-        distinct, counts = np.unique(values, return_counts=True)
+        distinct, counts = kernels.unique_counts(values)
         threshold = threshold_factor * n / k
         hot_mask = counts > threshold
         hot_order = np.argsort(-counts[hot_mask], kind="stable")

@@ -24,8 +24,11 @@ inner loops as numpy-batched **kernels**, one implementation each:
 - :func:`run_lengths` — per-value counts of any array, the
   ``np.unique(..., return_counts=True)`` counts as run lengths of its
   :func:`ensure_sorted` view, so sorted input is never sorted again
-  (frequency profiles, self-join density, the clustered layouts, distinct
-  counts);
+  (frequency profiles, self-join density, distinct counts);
+- :func:`unique_counts` — the ``np.unique(..., return_counts=True)`` pair
+  of distinct values and counts, the first value of each
+  :func:`run_lengths` run (the clustered layouts, the compressed and
+  MaxDiff histograms, exact join sizes);
 - :func:`one_per_block_draws` — the per-block representative draws of the
   Section 4.2 validation twist, batched through one ``Generator.integers``
   call.
@@ -56,6 +59,7 @@ __all__ = [
     "merge_sorted",
     "ensure_sorted",
     "run_lengths",
+    "unique_counts",
     "one_per_block_draws",
 ]
 
@@ -68,16 +72,22 @@ def gather_pages(
     Pure computation — no I/O accounting: callers charge reads themselves
     (see :meth:`~repro.storage.heapfile.HeapFile.read_pages`).  Page order
     is preserved and duplicate ids are gathered again, exactly like reading
-    the pages one at a time.
+    the pages one at a time.  Every id must name a page of *values*.
     """
-    lo = np.asarray(page_ids, dtype=np.int64) * blocking_factor
+    ids = np.asarray(page_ids, dtype=np.int64)
+    lo = ids * blocking_factor
     if lo.size == 0:
         return values[:0]
     sizes = np.minimum(lo + blocking_factor, values.size) - lo
     if sizes.min() == blocking_factor:
-        # All pages full: a dense 2-D gather is one vectorised operation.
-        index = lo[:, None] + np.arange(blocking_factor, dtype=np.int64)
-        return values[index].reshape(-1)
+        # All pages full: index the rows of a (pages, b) view, one block
+        # copy per page and no index array.  Splitting the one axis of a
+        # 1-D array is a view whatever its stride, so nothing is copied.
+        full_pages = values.size // blocking_factor
+        rows = values[: full_pages * blocking_factor].reshape(
+            full_pages, blocking_factor
+        )
+        return rows[ids].reshape(-1)
     # General case (a short trailing page in the set): repeat each page's
     # base offset over its size and add the running intra-page rank.
     total = int(sizes.sum())
@@ -187,13 +197,16 @@ def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A stable sort of ``[a, b]`` keeps ``a``'s copies of a tied value
     first, as a merge does.  For float64 and int64 NumPy's stable sort is
     timsort, which finds the two presorted runs and merges them in linear
-    time.
+    time.  The concatenation is sorted in place, so the result is the only
+    array allocated.
     """
     if a.size == 0:
         return b
     if b.size == 0:
         return a
-    return np.sort(np.concatenate((a, b)), kind="stable")
+    merged = np.concatenate((a, b))
+    merged.sort(kind="stable")
+    return merged
 
 
 def ensure_sorted(values: np.ndarray) -> np.ndarray:
@@ -218,16 +231,42 @@ def run_lengths(values: np.ndarray) -> np.ndarray:
     Any order and shape: the flattened input goes through
     :func:`ensure_sorted`, so an already-ordered column is counted without
     a sort, and the counts are the lengths of its runs of equal values.
-    Run boundaries come from one boolean mask of value changes, with a
-    sentinel at each end, so the lengths are one ``flatnonzero`` and one
-    ``diff``.  NaNs sort last and, as in ``np.unique``, count as one value.
+    NaNs sort last and, as in ``np.unique``, count as one value.
+    """
+    return _runs(ensure_sorted(np.ravel(values)))
+
+
+def unique_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, counts)`` of *values*, as
+    ``np.unique(values, return_counts=True)`` returns them.
+
+    The counts are :func:`run_lengths` of the flattened input's
+    :func:`ensure_sorted` view, and each distinct value is the first
+    element of its run, so an already-ordered column is never sorted.
     """
     values = ensure_sorted(np.ravel(values))
-    boundary = np.empty(values.size + 1, dtype=bool)
+    counts = _runs(values)
+    firsts = np.cumsum(counts)
+    firsts -= counts
+    return values[firsts], counts
+
+
+def _runs(sorted_values: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values in a sorted 1-D array.
+
+    Run boundaries come from one boolean mask of value changes, with a
+    sentinel at each end, so the lengths are one ``flatnonzero`` and one
+    ``diff``.  NaNs sort last and, as in ``np.unique``, form one run.
+    """
+    boundary = np.empty(sorted_values.size + 1, dtype=bool)
     boundary[0] = boundary[-1] = True
-    np.not_equal(values[1:], values[:-1], out=boundary[1:-1])
-    if values.dtype.kind == "f" and values.size and np.isnan(values[-1]):
-        first_nan = np.searchsorted(values, values[-1], side="left")
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=boundary[1:-1])
+    if (
+        sorted_values.dtype.kind == "f"
+        and sorted_values.size
+        and np.isnan(sorted_values[-1])
+    ):
+        first_nan = np.searchsorted(sorted_values, sorted_values[-1], side="left")
         boundary[first_nan + 1 : -1] = False
     return np.diff(np.flatnonzero(boundary))
 

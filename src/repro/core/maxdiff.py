@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import EmptyDataError, ParameterError
+from . import kernels
 
 __all__ = ["MaxDiffBucket", "MaxDiffHistogram"]
 
@@ -67,7 +68,7 @@ class MaxDiffHistogram:
         values = np.asarray(values)
         if values.size == 0:
             raise EmptyDataError("cannot build a histogram over an empty value set")
-        distinct, counts = np.unique(values, return_counts=True)
+        distinct, counts = kernels.unique_counts(values)
         m = distinct.size
         if m == 1 or k == 1:
             return cls(

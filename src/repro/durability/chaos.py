@@ -1,51 +1,36 @@
-"""Process-kill chaos for the durability layer.
+"""Crash chaos for the durability layer.
 
-Two harnesses close the crash-safety loop end-to-end:
+:func:`catalog_crash_matrix` sweeps *every* durable write operation of a
+scripted catalog workload (puts, drops, checkpoints) as a crash point, in
+both ``torn`` (payload cut short) and ``corrupt`` (CRC-breaking bit flip)
+flavors, via :class:`repro.storage.faults.WriteFaultPolicy`.  After each
+simulated death the store is reopened and the recovered state is compared
+against the **prefix state** — the catalog contents after the last script
+step that fully completed.  That is the last-known-good contract: a crash
+may lose the in-flight mutation, never a committed one, and reopening
+never raises.
 
-:func:`catalog_crash_matrix`
-    Sweeps *every* durable write operation of a scripted catalog workload
-    (puts, drops, checkpoints) as a crash point, in both ``torn`` (payload
-    cut short) and ``corrupt`` (CRC-breaking bit flip) flavors, via
-    :class:`repro.storage.faults.WriteFaultPolicy`.  After each simulated
-    death the store is reopened and the recovered state is compared
-    against the **prefix state** — the catalog contents after the last
-    script step that fully completed.  That is the last-known-good
-    contract: a crash may lose the in-flight mutation, never a committed
-    one, and reopening never raises.
-
-:func:`kill_and_resume`
-    The real thing: spawns ``python -m repro <argv> --checkpoint DIR`` as
-    a subprocess, SIGKILLs it once the run journal shows progress, then
-    re-runs with ``--resume`` to completion.  Callers diff the resumed
-    output against an uninterrupted reference run (the CI crash-resume
-    smoke job does exactly this).
-
-Both harnesses are deterministic: crash points are enumerated (not
-sampled), and the corrupting bit flip is seeded per op through the
-counter-based fault stream.
+The matrix is deterministic: crash points are enumerated (not sampled),
+and the corrupting bit flip is seeded per op through the counter-based
+fault stream.  The real-process twin, a SIGKILLed and resumed figure
+sweep, is ``tests/durability/test_kill_resume.py``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import signal
-import subprocess
-import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..engine.serialization import statistics_to_dict
 from ..exceptions import SimulatedCrashError
 from ..storage.faults import WriteFaultPolicy
-from . import journal as _journal
 from .catalog_store import CatalogStore
 
 __all__ = [
     "CrashOutcome",
     "catalog_crash_matrix",
-    "kill_and_resume",
 ]
 
 
@@ -162,68 +147,3 @@ def catalog_crash_matrix(
             )
     return outcomes
 
-
-def _journal_records(path: Path) -> int:
-    """Complete records currently in a run journal (0 when absent)."""
-    records, _, _ = _journal.read_records(path)
-    return len(records)
-
-
-def kill_and_resume(
-    argv: list[str],
-    checkpoint_dir: str | os.PathLike,
-    *,
-    min_records: int = 2,
-    poll_s: float = 0.05,
-    max_polls: int = 2400,
-    env: dict | None = None,
-) -> tuple[int, subprocess.CompletedProcess]:
-    """SIGKILL a checkpointed CLI run mid-flight, then resume it.
-
-    Spawns ``python -m repro <argv> --checkpoint <dir>`` and polls the run
-    journal until at least *min_records* complete records exist (proving
-    the kill lands mid-run, not before the first chunk); then delivers
-    ``SIGKILL`` — no cleanup handlers run, exactly like a crash or OOM
-    kill.  A second invocation with ``--resume`` runs to completion and is
-    returned for the caller to diff against an uninterrupted reference.
-
-    Returns ``(first_run_returncode, resumed_completed_process)``; the
-    first return code is ``-SIGKILL`` when the kill landed, or the
-    process's own exit code when it finished before reaching
-    *min_records* (tiny workloads).
-    """
-    checkpoint_dir = Path(checkpoint_dir)
-    journal_path = checkpoint_dir / "run.journal"
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        *argv,
-        "--checkpoint",
-        str(checkpoint_dir),
-    ]
-    victim = subprocess.Popen(
-        command,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=env,
-    )
-    try:
-        for _ in range(max_polls):
-            if victim.poll() is not None:
-                break
-            if _journal_records(journal_path) >= min_records:
-                victim.send_signal(signal.SIGKILL)
-                break
-            time.sleep(poll_s)
-        else:
-            victim.send_signal(signal.SIGKILL)
-    finally:
-        first_code = victim.wait()
-    resumed = subprocess.run(
-        command + ["--resume"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return first_code, resumed

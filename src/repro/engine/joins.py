@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import kernels
 from ..exceptions import ParameterError
 from .statistics import ColumnStatistics
 
@@ -117,8 +118,8 @@ def true_join_size(
     """Exact equi-join output size, for evaluating the estimators."""
     left_values = np.asarray(left_values)
     right_values = np.asarray(right_values)
-    lv, lc = np.unique(left_values, return_counts=True)
-    rv, rc = np.unique(right_values, return_counts=True)
+    lv, lc = kernels.unique_counts(left_values)
+    rv, rc = kernels.unique_counts(right_values)
     common, l_idx, r_idx = np.intersect1d(
         lv, rv, assume_unique=True, return_indices=True
     )

@@ -94,6 +94,15 @@ def _run_chunk(
     return out, None
 
 
+def _run_shipped_chunk(
+    shipped: bytes, start: int, stop: int, collect_metrics: bool
+) -> tuple[list[tuple], dict | None]:
+    """Worker entry point: :func:`_run_chunk` over ``seeds[start:stop]`` of
+    the map's pickled ``(fn, seeds)``."""
+    fn, seeds = pickle.loads(shipped)
+    return _run_chunk(fn, seeds[start:stop], collect_metrics)
+
+
 def _exit_with_parent() -> None:
     """Worker initializer: end the worker once the pool's owner is gone.
 
@@ -127,12 +136,12 @@ def _check_seeds(seeds: list) -> None:
                 )
 
 
-def _is_picklable(obj: Any) -> bool:
+def _pickled(obj: Any) -> bytes | None:
+    """*obj* pickled, or ``None`` when it does not pickle."""
     try:
-        pickle.dumps(obj)
-        return True
+        return pickle.dumps(obj)
     except Exception:
-        return False
+        return None
 
 
 class TrialPool:
@@ -241,20 +250,23 @@ class TrialPool:
         self,
         fn: Callable[[Any], Any],
         seeds: list,
-        use_processes: bool,
+        shipped: bytes | None,
     ) -> tuple[list, int]:
         """Chunk-at-a-time map with checkpointing and lost-worker recovery.
 
         Every :meth:`map` runs through here.  A serial map without a
         checkpoint is one in-process chunk.  Otherwise chunks journaled by
-        a previous run splice straight back; the rest run (in parallel
-        when *use_processes*) and are journaled as they complete.  Because
+        a previous run splice straight back; the rest run and are journaled
+        as they complete.  They run in parallel when *shipped*,
+        ``(fn, seeds)`` pickled once for the whole map, is given; every
+        chunk's task carries those bytes and its slice bounds.  Because
         every chunk's result is a pure function of ``(fn, seeds)``, the
         reassembled output is bit-identical to the serial loop for any
         worker count, worker loss or interruption/resume pattern.
 
         Returns ``(timed, num_chunks)``.
         """
+        use_processes = shipped is not None
         if not use_processes and self.checkpoint is None:
             timed, _ = _run_chunk(fn, seeds)
             return timed, 1
@@ -283,7 +295,9 @@ class TrialPool:
             if index not in timed_by_chunk
         }
         if use_processes:
-            self._run_pending_parallel(fn, pending, timed_by_chunk, plan)
+            self._run_pending_parallel(
+                shipped, chunk, pending, timed_by_chunk, plan
+            )
         else:
             for index in sorted(pending):
                 chunk_timed, _ = _run_chunk(fn, pending[index])
@@ -299,7 +313,8 @@ class TrialPool:
 
     def _run_pending_parallel(
         self,
-        fn: Callable[[Any], Any],
+        shipped: bytes,
+        chunk: int,
         pending: dict[int, list],
         timed_by_chunk: dict[int, list],
         plan,
@@ -328,8 +343,13 @@ class TrialPool:
                     # A worker can die while later chunks are still being
                     # submitted; submit then raises BrokenProcessPool too.
                     for index in batch:
+                        start = index * chunk
                         future = executor.submit(
-                            _run_chunk, fn, pending[index], collect
+                            _run_shipped_chunk,
+                            shipped,
+                            start,
+                            start + len(pending[index]),
+                            collect,
                         )
                         futures[future] = index
                         dispatches[index] += 1
@@ -402,15 +422,16 @@ class TrialPool:
         """
         seeds = list(seeds)
         _check_seeds(seeds)
-        use_processes = (
-            self.max_workers > 1
-            and len(seeds) > 1
-            and _is_picklable((fn, seeds))
-        )
+        shipped = None
+        if self.max_workers > 1 and len(seeds) > 1:
+            # One pickle per map: a task can carry a whole ground-truth
+            # column, and every chunk ships these same bytes.
+            shipped = _pickled((fn, seeds))
+        use_processes = shipped is not None
         mode = "process" if use_processes else "serial"
         map_span = _trace.span("pool.map", trials=len(seeds))
         with map_span:
-            timed, num_chunks = self._map_chunked(fn, seeds, use_processes)
+            timed, num_chunks = self._map_chunked(fn, seeds, shipped)
             map_span.set(mode=mode, chunks=num_chunks)
 
         _metrics.inc("repro_pool_maps_total", mode=mode)

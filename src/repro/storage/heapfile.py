@@ -4,8 +4,10 @@ A :class:`HeapFile` stores one column's values in page order (the physical
 layout already applied) and charges one page read per page fetched, which is
 the cost unit the paper reports ("number of disk blocks sampled", Figure 4).
 
-The backing store is a single contiguous numpy array; ``read_page`` returns a
-view, so scanning or sampling a million-page file allocates almost nothing.
+The backing store is a single numpy array, held read-only; ``read_page`` and
+``scan`` return views of it, so scanning or sampling a million-page file
+allocates almost nothing.  A file laid out ``sorted`` from an already-sorted
+column shares that column's memory.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .._rng import RngLike
 from ..core import kernels
 from ..exceptions import ParameterError
 from .iostats import IOStats
-from .layout import apply_layout
+from .layout import apply_layout, read_only_view
 from .page import Page
 from .record import RecordSpec
 
@@ -29,7 +31,11 @@ class HeapFile:
     """A read-only heap file over one attribute column.
 
     Construct with :meth:`from_values`, which applies a physical layout, or
-    directly from an array already in page order.
+    directly from an array already in page order.  The file keeps a
+    read-only view of that array, so writing into a page, a scan or
+    :meth:`values_unaccounted` raises instead of changing the file (or,
+    for a view it shares, the caller's column); an unpickled file is
+    read-only too.
     """
 
     def __init__(
@@ -47,7 +53,7 @@ class HeapFile:
             raise ParameterError(
                 f"blocking_factor must be positive, got {blocking_factor}"
             )
-        self._values = values
+        self._values = read_only_view(values)
         self._blocking_factor = int(blocking_factor)
         self._spec = spec
         self.iostats = IOStats()
@@ -71,7 +77,9 @@ class HeapFile:
         Parameters
         ----------
         values:
-            The column's multiset, in any order.
+            The column's multiset, in any order.  Under the ``sorted``
+            layout an already-sorted array is not copied: the file shares
+            its memory.
         layout:
             One of :data:`repro.storage.layout.LAYOUT_NAMES`.
         spec:
@@ -195,6 +203,11 @@ class HeapFile:
         must use :meth:`scan` / :meth:`read_page`.
         """
         return self._values
+
+    def __setstate__(self, state: dict) -> None:
+        # Below pickle protocol 5 an array unpickles writable.
+        self.__dict__.update(state)
+        self._values = read_only_view(self._values)
 
     def __repr__(self) -> str:
         return (

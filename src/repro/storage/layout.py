@@ -1,28 +1,34 @@
 """Physical placement of tuples on disk pages.
 
 Block-level sampling quality depends entirely on *which tuples share a page*
-(Section 4.1 of the paper).  A layout function maps a value multiset in
-domain order to the order in which records are written to the heap file:
+(Section 4.1 of the paper).  A layout function maps a one-dimensional value
+multiset in domain order to the order in which records are written to the
+heap file; any other shape raises :class:`~repro.exceptions.ParameterError`.
 
 ``random``
     Tuples placed uniformly at random — the paper's scenario (a), where a
     page of ``b`` tuples is as informative as ``b`` independent record
-    samples.
+    samples.  Allocates only its result: a copy of the column shuffled in
+    place, with the same draws as gathering through a permutation.
 
 ``sorted``
     Tuples written in value order — scenario (b), total intra-page
-    correlation: one page contributes roughly one useful sample.
+    correlation: one page contributes roughly one useful sample.  The
+    result is read-only.  An already-sorted input is returned as a
+    read-only view of itself, allocating nothing, so a heap file laid out
+    from it shares the caller's memory; other input is sorted into a copy.
 
 ``partial``
     The paper's experimental middle ground (Section 7.1): for every distinct
     value, a fraction (default 20%) of its duplicates is kept as one
     contiguous run, while the remaining tuples get independent random
-    positions.  This models data that is clustered "in patches".
+    positions.  This models data that is clustered "in patches".  Builds a
+    table of (value, run length) units, shuffles it and expands it.
 
 ``value_runs``
     Every distinct value's duplicates form one contiguous run, but the runs
     themselves are shuffled — extreme duplication clustering without global
-    sort order.
+    sort order.  Builds the per-value runs, shuffles them and expands them.
 """
 
 from __future__ import annotations
@@ -47,27 +53,49 @@ __all__ = [
 LAYOUT_NAMES = ("random", "sorted", "partial", "value_runs")
 
 
-def _value_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(distinct, counts)`` of *values*, as ``np.unique`` returns them.
+def _column(values: np.ndarray) -> np.ndarray:
+    """*values* as an array, which every layout requires to be 1-D."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ParameterError(
+            f"a layout places a one-dimensional column, got shape {values.shape}"
+        )
+    return values
 
-    Sorts only an unsorted column; each distinct value is the first
-    element of its run.
+
+def read_only_view(values: np.ndarray) -> np.ndarray:
+    """A view of *values* that refuses writes (the array itself stays as is).
+
+    The one rule for laid-out pages: the ``sorted`` layout and
+    :class:`~repro.storage.heapfile.HeapFile` hand out only such views,
+    so neither can write through to a column they share.
     """
-    sorted_values = kernels.ensure_sorted(values.ravel())
-    counts = kernels.run_lengths(sorted_values)
-    return sorted_values[np.cumsum(counts) - counts], counts
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def random_layout(values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-    """Uniformly random tuple placement (scenario (a))."""
-    values = np.asarray(values)
-    generator = ensure_rng(rng)
-    return values[generator.permutation(values.size)]
+    """Uniformly random tuple placement (scenario (a)).
+
+    ``Generator.permutation`` of an array copies it and shuffles the copy
+    in place.  Its Fisher–Yates pass makes the same draws whatever it
+    shuffles, so the result, and the generator's state after it, equal
+    ``values[generator.permutation(values.size)]`` without the int64
+    index array.
+    """
+    values = _column(values)
+    return ensure_rng(rng).permutation(values)
 
 
 def sorted_layout(values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-    """Value-ordered placement (scenario (b): fully correlated pages)."""
-    return np.sort(np.asarray(values))
+    """Value-ordered placement (scenario (b): fully correlated pages).
+
+    Read-only.  Input already in order comes back as a view of itself
+    (see :func:`~repro.core.kernels.ensure_sorted`), so the result shares
+    its memory; anything else is sorted into a copy.
+    """
+    return read_only_view(kernels.ensure_sorted(_column(values)))
 
 
 def partially_clustered_layout(
@@ -88,13 +116,18 @@ def partially_clustered_layout(
         raise ParameterError(
             f"cluster_fraction must be in [0, 1], got {cluster_fraction}"
         )
-    values = np.asarray(values)
+    values = _column(values)
     if values.size == 0:
         return values.copy()
     generator = ensure_rng(rng)
     unit_values, unit_lengths = _clustered_units(values, cluster_fraction)
     order = generator.permutation(unit_values.size)
-    return np.repeat(unit_values[order], unit_lengths[order])
+    # Gather one unit array at a time, dropping each unshuffled one, so at
+    # most three unit-sized arrays are live before the expansion.
+    unit_values = unit_values[order]
+    unit_lengths = unit_lengths[order]
+    del order
+    return np.repeat(unit_values, unit_lengths)
 
 
 def _clustered_units(
@@ -107,7 +140,7 @@ def _clustered_units(
     Built in its own frame so the per-value arrays are freed before the
     shuffle: on a 1M-value all-distinct column they are 8 MB each.
     """
-    distinct, counts = _value_runs(values)
+    distinct, counts = kernels.unique_counts(values)
     clustered_counts = np.round(counts * cluster_fraction).astype(np.int64)
     runs = clustered_counts > 0
     counts -= clustered_counts  # the loose copies of each value
@@ -119,11 +152,11 @@ def _clustered_units(
 
 def value_runs_layout(values: np.ndarray, rng: RngLike = None) -> np.ndarray:
     """Each distinct value contiguous, runs in random order."""
-    values = np.asarray(values)
+    values = _column(values)
     if values.size == 0:
         return values.copy()
     generator = ensure_rng(rng)
-    distinct, counts = _value_runs(values)
+    distinct, counts = kernels.unique_counts(values)
     order = generator.permutation(distinct.size)
     return np.repeat(distinct[order], counts[order])
 

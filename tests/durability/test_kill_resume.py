@@ -1,10 +1,11 @@
 """End-to-end process-kill chaos: SIGKILL a figure sweep, resume, diff.
 
 The real-process twin of the in-process crash matrix: a checkpointed
-``repro figure`` run is killed with SIGKILL once its run journal shows
-progress, resumed with ``--resume``, and its output compared byte-for-byte
-against an uninterrupted reference run (the CI crash-resume job repeats
-this outside pytest).
+``repro figure`` run SIGKILLs itself right after its second run-journal
+record is durable (``crash_after_records.py``), is resumed with
+``--resume``, and its output is compared byte-for-byte against an
+uninterrupted reference run (the CI crash-resume job repeats this outside
+pytest).
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import time
 
 import pytest
 
-from repro.durability import kill_and_resume
+from repro.durability.journal import read_records
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
+LAUNCHER = pathlib.Path(__file__).with_name("crash_after_records.py")
 
 FIGURE_ARGS = [
     "figure", "5",
@@ -66,41 +68,45 @@ def _env() -> dict:
     return env
 
 
+def _repro(args: list, env: dict, launcher: list | None = None):
+    """Run the CLI (through *launcher*, when given) to completion."""
+    command = launcher or ["-m", "repro"]
+    return subprocess.run(
+        [sys.executable, *command, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+
+
 class TestKillAndResume:
     def test_killed_sweep_resumes_bit_identically(self, tmp_path):
         env = _env()
         reference = tmp_path / "reference.txt"
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", *FIGURE_ARGS, "--out", str(reference)],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=ROOT,
-        )
+        completed = _repro([*FIGURE_ARGS, "--out", str(reference)], env)
         assert completed.returncode == 0, completed.stderr
 
         out = tmp_path / "resumed.txt"
-        first_code, resumed = kill_and_resume(
-            [*FIGURE_ARGS, "--out", str(out)],
-            tmp_path / "ckpt",
-            env=env,
-        )
-        assert first_code == -signal.SIGKILL
+        checkpointed = [
+            *FIGURE_ARGS, "--checkpoint", str(tmp_path / "ckpt"),
+            "--out", str(out),
+        ]
+        killed = _repro(checkpointed, env, launcher=[str(LAUNCHER), "2"])
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        # The kill landed right after the second durable record: the first
+        # map's plan and its first chunk, before any output was written.
+        records, _, tail = read_records(tmp_path / "ckpt" / "run.journal")
+        assert [record["op"] for record in records] == ["map", "chunk"]
+        assert tail is None
+        assert not out.exists()
+
+        resumed = _repro([*checkpointed, "--resume"], env)
         assert resumed.returncode == 0, resumed.stderr
         assert out.read_bytes() == reference.read_bytes()
-        # The resume actually spliced journaled work rather than starting
-        # over: the run journal recorded chunks before the kill landed.
-        journal = tmp_path / "ckpt" / "run.journal"
-        assert journal.exists() and journal.stat().st_size > 0
 
     def test_bare_resume_without_checkpoint_is_rejected(self):
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", *FIGURE_ARGS, "--resume"],
-            capture_output=True,
-            text=True,
-            env=_env(),
-            cwd=ROOT,
-        )
+        completed = _repro([*FIGURE_ARGS, "--resume"], _env())
         assert completed.returncode == 2
         assert "--resume requires --checkpoint" in completed.stderr
 

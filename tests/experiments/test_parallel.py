@@ -197,6 +197,70 @@ class TestStats:
         assert reads[1] == reads[2] == 20
 
 
+class _CountedPickles:
+    """A trial callable that counts, in the pickling process, its pickles."""
+
+    pickles = 0
+
+    def __call__(self, seed: int) -> float:
+        return float(np.random.default_rng(seed).random())
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return (_CountedPickles, ())
+
+
+class TestPickledOncePerMap:
+    """A map pickles its callable once and ships the bytes to every chunk."""
+
+    def test_four_chunks_pickle_the_callable_once(self):
+        fn = _CountedPickles()
+        seeds = spawn_seeds(6, 8)
+        _CountedPickles.pickles = 0
+        with trace.tracing() as recorder:
+            with TrialPool(max_workers=2, chunk_size=2) as pool:
+                got, registry = _recorded_map(pool, fn, seeds)
+        assert _CountedPickles.pickles == 1
+        (span,) = [r for r in recorder.records if r.name == "pool.map"]
+        assert span.attrs["chunks"] == 4
+        assert _mode(registry) == "process"
+        assert got == [fn(s) for s in seeds]
+
+    def test_serial_map_pickles_nothing(self):
+        _CountedPickles.pickles = 0
+        with TrialPool(max_workers=1) as pool:
+            pool.map(_CountedPickles(), [1, 2, 3])
+        assert _CountedPickles.pickles == 0
+
+    def test_seeds_that_do_not_pickle_run_serially(self):
+        """The one pickle covers the seeds as well as the callable."""
+        seeds = [(seed, lambda: None) for seed in (4, 5, 6)]
+        with TrialPool(max_workers=2) as pool:
+            got, registry = _recorded_map(pool, _first_part, seeds)
+        assert _mode(registry) == "serial"
+        assert got == [4, 5, 6]
+
+
+def _first_part(seed: tuple) -> int:
+    return seed[0]
+
+
+def _writable_in_worker(heapfile, seed: int) -> bool:
+    """Whether a heap file that crossed into a pool worker takes writes."""
+    return bool(heapfile.read_page(seed % heapfile.num_pages).flags.writeable)
+
+
+class TestHeapFileCrossesReadOnly:
+    def test_heap_file_in_a_worker_is_read_only(self):
+        heapfile = build_heapfile(np.arange(1, 2_001), "random", 25, rng=0)
+        with TrialPool(max_workers=2, chunk_size=2) as pool:
+            got, registry = _recorded_map(
+                pool, partial(_writable_in_worker, heapfile), list(range(6))
+            )
+        assert _mode(registry) == "process"
+        assert got == [False] * 6
+
+
 class TestSerialParallelEquivalence:
     """The property harness: same seeds -> same floats, order preserved,
     for random trial counts, seeds, worker counts, and chunkings."""

@@ -1,4 +1,4 @@
-"""Reference oracles for the seven public kernels of :mod:`repro.core.kernels`.
+"""Reference oracles for the eight public kernels of :mod:`repro.core.kernels`.
 
 Each oracle is the straightforward per-record (or sort-everything)
 implementation the vectorized kernel replaced, with the same validation,
@@ -85,6 +85,11 @@ def run_lengths(values: np.ndarray) -> np.ndarray:
     return np.unique(np.asarray(values), return_counts=True)[1]
 
 
+def unique_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` with its counts."""
+    return np.unique(np.asarray(values), return_counts=True)
+
+
 def one_per_block_draws(
     generator: np.random.Generator, sizes: np.ndarray
 ) -> np.ndarray:
@@ -104,6 +109,7 @@ ORACLES = {
     "merge_sorted": merge_sorted,
     "ensure_sorted": ensure_sorted,
     "run_lengths": run_lengths,
+    "unique_counts": unique_counts,
     "one_per_block_draws": one_per_block_draws,
 }
 

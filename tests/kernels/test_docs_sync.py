@@ -1,6 +1,6 @@
 """The kernel docs are documented-by-construction: diff them vs the kernels.
 
-docs/ARCHITECTURE.md's "Kernels" section promises to catalogue the seven
+docs/ARCHITECTURE.md's "Kernels" section promises to catalogue the eight
 public kernels of :mod:`repro.core.kernels` and the oracles they are
 tested against.  These tests enforce the promise literally, the same way
 ``tests/obs/test_docs.py`` pins the observability docs: a public kernel

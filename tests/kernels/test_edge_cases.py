@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
+from repro.core.compressed import CompressedHistogram
 from repro.core.histogram import EquiHeightHistogram, equi_height_separators
 from repro.core.error_metrics import fractional_max_error
+from repro.core.maxdiff import MaxDiffHistogram
+from repro.engine.joins import true_join_size
 from repro.exceptions import EmptyDataError, ParameterError
 from repro.sampling.block_sampler import BlockSampleStream
 from repro.storage import HeapFile
@@ -26,6 +29,7 @@ from .conftest import (
     assert_histograms_identical,
     heap_file,
     implementation,
+    make_values,
     run_both,
 )
 
@@ -212,6 +216,7 @@ class TestRunLengths:
             np.tile([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)], 40)
         ),
         "signed_zero": np.array([-0.0, 0.0, -0.0, 1.0]),
+        "signed_zero_run": np.array([-0.0, 0.0, 0.0, 1.0]),
         "nan_tail": np.array([1.0, 1.0, 2.0, np.nan, np.nan, np.nan]),
         "only_nan": np.full(3, np.nan),
         "unsorted_nan": np.array([np.nan, 2.0, 1.0, np.nan, 1.0]),
@@ -228,6 +233,48 @@ class TestRunLengths:
     def test_nans_count_as_one_value(self):
         counts = kernels.run_lengths(self.CASES["nan_tail"])
         assert counts.tolist() == [2, 1, 3]
+
+
+class TestUniqueCounts:
+    """``unique_counts`` equals ``np.unique(..., return_counts=True)``, and
+    so do the histograms and the join size that count with it."""
+
+    @pytest.mark.parametrize("case", sorted(TestRunLengths.CASES))
+    def test_matches_the_oracle(self, case):
+        values = TestRunLengths.CASES[case]
+        got = run_both(lambda: kernels.unique_counts(values.copy()))
+        for scalar, vector in zip(got["scalar"], got["vector"]):
+            assert_arrays_identical(scalar, vector)
+            # Bytes too: each distinct value is the first of its run, so
+            # a -0.0 leading a run of zeros stays -0.0.
+            assert scalar.tobytes() == vector.tobytes()
+
+    COLUMNS = {
+        "int": make_values("distinct", 2_000, 1),
+        "float": np.random.default_rng(2).normal(size=2_000),
+        "duplicate_heavy": make_values("zipf", 2_000, 3),
+        "near_duplicate_float": make_values("near_dup", 2_000, 4),
+        "single_value": make_values("single", 500, 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(COLUMNS))
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_histograms_and_join_size(self, case, presorted):
+        values = self.COLUMNS[case]
+        values = np.sort(values) if presorted else values
+
+        def build():
+            compressed = CompressedHistogram.from_values(values, 8)
+            return (
+                compressed.singletons,
+                compressed.remainder,
+                compressed.total,
+                MaxDiffHistogram.from_values(values, 8).buckets(),
+                true_join_size(values, values[::3]),
+            )
+
+        got = run_both(build)
+        assert got["scalar"] == got["vector"]
 
 
 class TestModeDispatch:

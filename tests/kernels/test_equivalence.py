@@ -50,7 +50,7 @@ class TestKernelPairEquivalence:
 
     def test_registry_covers_both_modes(self):
         """Every public kernel has an oracle distinct from production."""
-        assert len(oracle.ORACLES) == 7
+        assert len(oracle.ORACLES) == 8
         for name, reference in oracle.ORACLES.items():
             assert name in kernels.__all__, name
             assert callable(getattr(kernels, name)), name
@@ -87,9 +87,15 @@ class TestKernelPairEquivalence:
         values=datasets(min_size=1, max_size=3_000),
         blocking_factor=st.integers(min_value=1, max_value=60),
         draw_seed=st.integers(min_value=0, max_value=2**31 - 1),
+        strided=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_gather_pages_identical(self, values, blocking_factor, draw_seed):
+    def test_gather_pages_identical(
+        self, values, blocking_factor, draw_seed, strided
+    ):
+        if strided:
+            # The same values, every other element of a twice-as-long array.
+            values = np.repeat(values, 2)[::2]
         num_pages = -(-values.size // blocking_factor)
         rng = np.random.default_rng(draw_seed)
         # With replacement: duplicate ids must gather (and later charge) twice.
@@ -98,6 +104,7 @@ class TestKernelPairEquivalence:
             lambda: kernels.gather_pages(values, page_ids, blocking_factor)
         )
         assert_arrays_identical(got["scalar"], got["vector"])
+        assert got["scalar"].tobytes() == got["vector"].tobytes()
 
     @given(pair=sorted_pairs())
     @settings(max_examples=120, deadline=None)
@@ -105,6 +112,8 @@ class TestKernelPairEquivalence:
         a, b = pair
         got = run_both(lambda: kernels.merge_sorted(a.copy(), b.copy()))
         assert_arrays_identical(got["scalar"], got["vector"])
+        # By bytes too: a tie between -0.0 and 0.0 keeps its order.
+        assert got["scalar"].tobytes() == got["vector"].tobytes()
 
     @given(pair=sorted_pairs())
     @settings(max_examples=120, deadline=None)
@@ -129,6 +138,14 @@ class TestKernelPairEquivalence:
             got = run_both(lambda: kernels.run_lengths(order.copy()))
             assert_arrays_identical(got["scalar"], got["vector"])
             assert got["vector"].sum() == values.size
+
+    @given(values=datasets(min_size=0))
+    @settings(max_examples=120, deadline=None)
+    def test_unique_counts_identical(self, values):
+        for order in (values, np.sort(values)):
+            got = run_both(lambda: kernels.unique_counts(order.copy()))
+            for scalar, vector in zip(got["scalar"], got["vector"]):
+                assert_arrays_identical(scalar, vector)
 
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=200), max_size=64),

@@ -1,5 +1,7 @@
 """Tests for the heap file and its page-read accounting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,49 @@ class TestGeometry:
     def test_from_values_blocking_factor_override(self):
         hf = HeapFile.from_values(np.arange(1000), blocking_factor=7, rng=0)
         assert hf.blocking_factor == 7
+
+
+class TestReadOnlyPages:
+    """No array a heap file hands out can write through to the file."""
+
+    READS = {
+        "read_page": lambda hf: hf.read_page(2),
+        "read_pages_empty": lambda hf: hf.read_pages([]),
+        "scan": lambda hf: hf.scan(),
+        "values_unaccounted": lambda hf: hf.values_unaccounted(),
+        "iter_pages": lambda hf: next(hf.iter_pages()),
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_writing_into_a_read_raises(self, read):
+        hf = HeapFile(np.arange(100.0), blocking_factor=10)
+        payload = self.READS[read](hf)
+        with pytest.raises(ValueError, match="read-only"):
+            payload[...] = 99.0
+        assert hf.values_unaccounted().tolist() == list(np.arange(100.0))
+
+    def test_callers_array_keeps_its_flags(self):
+        values = np.arange(100.0)
+        HeapFile(values, blocking_factor=10)
+        assert values.flags.writeable
+
+    def test_sorted_file_shares_a_sorted_column(self):
+        column = np.arange(1_000)
+        hf = HeapFile.from_values(column, layout="sorted", blocking_factor=10)
+        assert np.shares_memory(hf.values_unaccounted(), column)
+        with pytest.raises(ValueError, match="read-only"):
+            hf.read_page(0)[0] = 99
+        assert column[0] == 0
+
+    @pytest.mark.parametrize(
+        "protocol", sorted({pickle.DEFAULT_PROTOCOL, 4, 5})
+    )
+    def test_unpickled_file_is_read_only(self, protocol):
+        hf = HeapFile.from_values(np.arange(1_000), rng=0, blocking_factor=10)
+        copy = pickle.loads(pickle.dumps(hf, protocol=protocol))
+        assert not copy.values_unaccounted().flags.writeable
+        assert np.array_equal(copy.scan(), hf.values_unaccounted())
+        assert copy.blocking_factor == 10
 
 
 class TestAccessAndAccounting:

@@ -111,3 +111,16 @@ class TestDispatch:
         out = apply_layout(values, layout="partial", rng=0, cluster_fraction=1.0)
         changes = int((out[:-1] != out[1:]).sum())
         assert changes == 19
+
+
+class TestOneDimensionalColumns:
+    """Every layout places a 1-D column and rejects any other shape alike."""
+
+    @pytest.mark.parametrize("layout", LAYOUT_NAMES)
+    @pytest.mark.parametrize(
+        "values", [np.arange(6.0).reshape(2, 3), np.float64(4.0)],
+        ids=["two_d", "scalar"],
+    )
+    def test_other_shapes_raise_parameter_error(self, layout, values):
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            apply_layout(values, layout=layout, rng=0)

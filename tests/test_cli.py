@@ -159,6 +159,18 @@ class TestFigure:
         parallel_out = capsys.readouterr().out
         assert parallel_out == serial_out
 
+    def test_medium_scale_sweep_prints_the_golden_bytes(self, capsys, golden):
+        """One pass of the end-to-end benchmark's figure sweep: figures 5, 6
+        and 9 at its scale, trials and seed print exactly these bytes."""
+        printed = []
+        for figure in ("5", "6", "9"):
+            assert main([
+                "figure", figure, "--scale", "medium", "--trials", "9",
+                "--workers", "1", "--seed", "0",
+            ]) == 0
+            printed.append(capsys.readouterr().out)
+        golden("tests/experiments/golden/figure_sweep_medium.txt", "".join(printed))
+
     def test_chunk_size_does_not_change_the_numbers(self, capsys):
         assert main(FIGURE_SMALL + ["--workers", "2"]) == 0
         auto_out = capsys.readouterr().out
