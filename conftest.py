@@ -2,8 +2,8 @@
 
 A golden file is committed output that a test must reproduce byte for
 byte: the paper suites' tables and figures under ``benchmarks/results/``,
-the exporter, lint and chaos reports under ``tests/*/golden/``, and the
-generated ``docs/API.md``.  A test hands its output to the ``golden``
+the logical costs in ``benchmarks/baseline.json``, the exporter, lint and
+chaos reports under ``tests/*/golden/``, and the generated ``docs/API.md``.  A test hands its output to the ``golden``
 fixture, which fails with a unified diff when the output differs from the
 file.  Regenerate every golden file after an intentional change with::
 

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands expose the library to shell users:
+These subcommands expose the library to shell users:
 
 ``analyze``
     Build sampled statistics for a column stored in a ``.npy`` / ``.csv``
@@ -39,16 +39,6 @@ Four subcommands expose the library to shell users:
     exposition (cumulative buckets, ``+Inf``, escaped labels).  Example:
     ``python -m repro metrics demo zipf2``.
 
-``bench``
-    Deterministic benchmark harness (:mod:`repro.obs.bench`): run the
-    scenario registry, optionally write the schema-versioned report to
-    ``--out``, or ``--profile`` each scenario through :mod:`cProfile`.
-    Exits 3 when a scenario's declared wall gate fails.  The logical
-    costs are checked against ``benchmarks/baseline.json`` by the test
-    suite; wall-clock is never compared across runs, and cross-commit
-    timing claims go through the end-to-end benchmark in
-    ``benchmarks/e2e``.
-
 ``lint``
     Determinism & invariant static analysis (:mod:`repro.lint`): run the
     project rule set (DET/OBS/EXC/FLT/DOC) over ``src/repro`` and the
@@ -79,10 +69,10 @@ Four subcommands expose the library to shell users:
     writes the byte-stable logical snapshot of the last frame.  See
     docs/TELEMETRY.md.
 
-``figure``, ``chaos`` and ``bench`` additionally accept ``--trace FILE`` to
+``figure`` and ``chaos`` additionally accept ``--trace FILE`` to
 record a structured span trace (JSON lines) of the run; see
-docs/OBSERVABILITY.md for how to read one.  ``figure`` and ``chaos`` also
-accept ``--checkpoint DIR`` / ``--resume`` for crash-safe resumable runs
+docs/OBSERVABILITY.md for how to read one.  They also accept
+``--checkpoint DIR`` / ``--resume`` for crash-safe resumable runs
 (:mod:`repro.durability`): completed work is journaled to
 ``DIR/run.journal``, and a killed run resumed with ``--resume`` produces
 output bit-identical to an uninterrupted one.  See docs/DURABILITY.md.
@@ -296,44 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of re-running them",
     )
     chaos.add_argument(
-        "--trace", metavar="FILE",
-        help="record a span trace of the run to FILE (JSON lines)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="deterministic benchmark harness (logical costs + wall gates)",
-    )
-    bench.add_argument(
-        "--scenario", action="append", metavar="NAME", dest="scenarios",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list scenarios and exit"
-    )
-    bench.add_argument(
-        "--scale", choices=("smoke", "default"), default="smoke",
-        help="workload size (default: smoke)",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed runs per scenario; the median is reported (default 3)",
-    )
-    bench.add_argument(
-        "--warmup", type=int, default=1,
-        help="untimed runs before timing starts (default 1)",
-    )
-    bench.add_argument(
-        "--out", metavar="FILE",
-        help="write the report to FILE (default: print the summary only)",
-    )
-    bench.add_argument(
-        "--profile", metavar="DIR",
-        help="cProfile every scenario into DIR (<name>.pstats + "
-             "<name>_top.txt)",
-    )
-    bench.add_argument(
         "--trace", metavar="FILE",
         help="record a span trace of the run to FILE (JSON lines)",
     )
@@ -826,62 +778,6 @@ def _chaos_run(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.repeats < 1:
-        print(
-            f"error: --repeats must be >= 1, got {args.repeats}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.warmup < 0:
-        print(
-            f"error: --warmup must be >= 0, got {args.warmup}",
-            file=sys.stderr,
-        )
-        return 2
-
-    from .obs import bench
-
-    if args.list:
-        for name in bench.scenario_names():
-            scenario = bench.SCENARIOS[name]
-            print(f"{name:<22} {scenario.help}")
-            print(f"{'':<22} paper: {scenario.paper}")
-        return 0
-
-    with _maybe_tracing(args.trace, "bench"):
-        return _bench_run(args, bench)
-
-
-def _bench_run(args, bench) -> int:
-    report = bench.run_bench(
-        scenarios=args.scenarios,
-        scale=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        profile_dir=args.profile,
-        progress=lambda name: print(f"bench: {name} ...", file=sys.stderr),
-    )
-    print(bench.format_report(report))
-
-    if args.out:
-        bench.write_report(report, args.out)
-        print(f"bench report written to {args.out}", file=sys.stderr)
-    if args.profile:
-        print(
-            f"profiles written to {args.profile}/<scenario>.pstats",
-            file=sys.stderr,
-        )
-    gate_failures = bench.gate_failures(report)
-    if gate_failures:
-        print("bench wall gates FAILED:", file=sys.stderr)
-        for failure in gate_failures:
-            print(f"  gate: {failure}", file=sys.stderr)
-        return 3
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from . import lint as lint_mod
 
@@ -1120,7 +1016,6 @@ def main(argv: list[str] | None = None) -> int:
         "demo": _cmd_demo,
         "figure": _cmd_figure,
         "chaos": _cmd_chaos,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "serve": _cmd_serve,
         "top": _cmd_top,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._rng import RngLike, ensure_rng
-from ..exceptions import BuildAbortedError, ConvergenceError, ParameterError
+from ..exceptions import BuildAbortedError, ParameterError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sampling.block_sampler import BlockSampleStream
@@ -157,7 +157,7 @@ class CVBResult:
     #: Pages consumed from the sampling order but never delivered (fault
     #: injection: corrupt, or transient retries exhausted).
     pages_skipped: int = 0
-    #: Ids of the pages that were read, in sampling order (enables refine).
+    #: Ids of the pages that were read, in sampling order.
     sampled_pages: np.ndarray | None = None
 
     def sampling_rate(self, n: int) -> float:
@@ -299,100 +299,6 @@ class CVBSampler:
             increments,
             page_budget,
             generator,
-            prior_pages=None,
-            build_span=build_span,
-        )
-
-    def refine(
-        self,
-        heapfile: HeapFile,
-        previous: CVBResult,
-        rng: RngLike = None,
-    ) -> CVBResult:
-        """Resume a previous run toward this sampler's (tighter) target.
-
-        The previous run's accumulated sample is reused as-is and fresh
-        blocks are drawn only from pages it never touched, so the combined
-        sample stays a uniform page sample without replacement.  Useful when
-        statistics built at a coarse ``f`` turn out to need sharpening: the
-        already-paid page reads are not repeated.
-        """
-        cfg = self.config
-        if previous.sampled_pages is None:
-            raise ParameterError(
-                "previous result carries no sampled-page ids; it cannot be "
-                "refined (was it deserialised?)"
-            )
-        generator = ensure_rng(rng)
-        with _trace.span(
-            "cvb.build",
-            iostats=heapfile.iostats,
-            phase="refine",
-            k=cfg.k,
-            f=cfg.f,
-            metric=cfg.metric,
-            validation=cfg.validation,
-        ) as build_span:
-            return self._refine(heapfile, previous, generator, build_span)
-
-    def _refine(
-        self,
-        heapfile: HeapFile,
-        previous: CVBResult,
-        generator,
-        build_span,
-    ) -> CVBResult:
-        """Body of :meth:`refine`, factored out so the build span wraps it."""
-        cfg = self.config
-        stream = BlockSampleStream(
-            heapfile,
-            rng=generator,
-            exclude=previous.sampled_pages,
-            retry=self._retry,
-            budget=self._budget_tracker(heapfile),
-        )
-        if self._schedule is not None:
-            increments = self._schedule.increments()
-        else:
-            # Continue the doubling from the held sample's size: the first
-            # fresh increment matches what is already in hand, so the
-            # accumulated sample keeps doubling — restarting small would
-            # re-pay the whole geometric series and erase the savings.
-            held_blocks = max(1, len(previous.sampled_pages))
-            increments = DoublingSchedule(
-                min(held_blocks, max(1, heapfile.num_pages))
-            ).increments()
-            # The held sample already played the schedule's round-0 role;
-            # fresh increments start at the doubling continuation (held,
-            # 2*held, 4*held, ...).
-            next(increments)
-        page_budget = max(
-            1, math.floor(cfg.max_sampled_fraction * heapfile.num_pages)
-        )
-        sample = np.asarray(previous.sample)
-        histogram = EquiHeightHistogram.from_sorted_values(sample, cfg.k)
-        iterations = [
-            CVBIteration(
-                index=0,
-                increment_blocks=len(previous.sampled_pages),
-                increment_tuples=int(sample.size),
-                cumulative_blocks=len(previous.sampled_pages),
-                cumulative_tuples=int(sample.size),
-                observed_error=float("nan"),
-                threshold=float("nan"),
-                passed=False,
-            )
-        ]
-        return self._drive(
-            heapfile,
-            stream,
-            sample,
-            histogram,
-            iterations,
-            increments,
-            page_budget,
-            generator,
-            prior_pages=np.asarray(previous.sampled_pages),
             build_span=build_span,
         )
 
@@ -423,11 +329,9 @@ class CVBSampler:
         increments,
         page_budget: int,
         generator,
-        prior_pages: np.ndarray | None,
         build_span=None,
     ) -> CVBResult:
         cfg = self.config
-        prior_count = 0 if prior_pages is None else len(prior_pages)
 
         converged = False
         while not converged:
@@ -436,11 +340,11 @@ class CVBSampler:
                 # whole file, so the histogram is exact.
                 converged = True
                 break
-            if prior_count + stream.pages_taken >= page_budget:
+            if stream.pages_taken >= page_budget:
                 break
 
             want = next(increments)
-            want = min(want, page_budget - prior_count - stream.pages_taken)
+            want = min(want, page_budget - stream.pages_taken)
             if want <= 0:
                 break
 
@@ -498,7 +402,7 @@ class CVBSampler:
                     index=len(iterations),
                     increment_blocks=int(want),
                     increment_tuples=int(increment.size),
-                    cumulative_blocks=prior_count + stream.pages_taken,
+                    cumulative_blocks=stream.pages_taken,
                     cumulative_tuples=int(sample.size),
                     observed_error=float(observed),
                     threshold=float(threshold),
@@ -509,11 +413,7 @@ class CVBSampler:
         if stream.exhausted and not converged:
             converged = True
 
-        if prior_pages is None:
-            sampled_pages = stream.taken_ids
-        else:
-            sampled_pages = np.concatenate([prior_pages, stream.taken_ids])
-
+        sampled_pages = stream.taken_ids
         outcome = "converged" if converged else "budget_stopped"
         _metrics.inc("repro_cvb_builds_total", outcome=outcome)
         _metrics.observe("repro_cvb_pages_sampled", int(sampled_pages.size))
@@ -538,19 +438,6 @@ class CVBSampler:
             pages_skipped=stream.pages_skipped,
             sampled_pages=sampled_pages,
         )
-
-    def run_strict(self, heapfile: HeapFile, rng: RngLike = None) -> CVBResult:
-        """Like :meth:`run` but raises :class:`ConvergenceError` when the
-        page budget is exhausted before the cross-validation test passes."""
-        result = self.run(heapfile, rng=rng)
-        if not result.converged:
-            raise ConvergenceError(
-                f"CVB did not converge within "
-                f"{self.config.max_sampled_fraction:.0%} of the file "
-                f"({result.pages_sampled} pages sampled)",
-                result=result,
-            )
-        return result
 
     def _validate(
         self,

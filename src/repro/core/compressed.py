@@ -21,7 +21,7 @@ import numpy as np
 
 from ..exceptions import EmptyDataError, ParameterError
 from . import kernels
-from .histogram import EquiHeightHistogram
+from .histogram import EquiHeightHistogram, _column
 
 __all__ = ["SingletonBucket", "CompressedHistogram"]
 
@@ -82,7 +82,8 @@ class CompressedHistogram:
             raise ParameterError(
                 f"threshold_factor must be positive, got {threshold_factor}"
             )
-        values = np.sort(np.asarray(values))
+        # Read-only from here on: an already-sorted column is the caller's.
+        values = kernels.ensure_sorted(_column(values))
         n = values.size
         if n == 0:
             raise EmptyDataError("cannot build a histogram over an empty value set")

@@ -24,6 +24,17 @@ from . import kernels
 __all__ = ["Bucket", "EquiHeightHistogram", "equi_height_separators"]
 
 
+def _column(values: np.ndarray) -> np.ndarray:
+    """*values* as an array, which every histogram build requires to be 1-D."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ParameterError(
+            "a histogram is built over a one-dimensional column, got shape "
+            f"{values.shape}"
+        )
+    return values
+
+
 def _check_finite(values: np.ndarray) -> None:
     """Reject NaN/inf values: NaNs sort to the end and silently poison
     separators (NaN comparisons are all false, so monotonicity checks pass)."""
@@ -149,7 +160,7 @@ class EquiHeightHistogram:
         when it is a random sample this is the approximate histogram of
         Section 3.1 (separators at sample quantiles, counts of the sample).
         """
-        values = np.asarray(values)
+        values = _column(values)
         # ``ensure_sorted`` pays for at most one sort (and none at all when
         # the caller's values are already ordered — the CVB accumulated
         # sample and the ground-truth recounts always are), then the
@@ -171,7 +182,7 @@ class EquiHeightHistogram:
         cls, sorted_values: np.ndarray, k: int
     ) -> "EquiHeightHistogram":
         """Same as :meth:`from_values` but skips the sort (caller's promise)."""
-        values = np.asarray(sorted_values)
+        values = _column(sorted_values)
         if values.size == 0:
             raise EmptyDataError("cannot build a histogram over an empty value set")
         _check_finite(values)

@@ -327,26 +327,6 @@ class StatisticsManager:
         self.catalog.put(statistics)
         return statistics
 
-    def analyze_all(
-        self,
-        table: Table,
-        rng: RngLike = None,
-        **params,
-    ) -> dict[str, ColumnStatistics]:
-        """ANALYZE every column of *table* with shared parameters.
-
-        Each column gets an independent sampling stream (derived from *rng*)
-        and its own heap file materialisation; returns ``{column: stats}``.
-        """
-        from .._rng import spawn_rngs
-
-        columns = table.column_names
-        rngs = spawn_rngs(rng, len(columns))
-        return {
-            name: self.analyze(table, name, rng=column_rng, **params)
-            for name, column_rng in zip(columns, rngs)
-        }
-
     # ------------------------------------------------------------------
     # Consuming statistics
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ __all__ = [
     "ParameterError",
     "EmptyDataError",
     "InfeasibleBoundError",
-    "ConvergenceError",
     "BuildAbortedError",
     "StorageError",
     "PageFullError",
@@ -52,25 +51,6 @@ class InfeasibleBoundError(ReproError):
     relation itself, or the Gibbons-Matias-Poosala bound may be undefined for
     the requested error fraction (see Example 4 of the paper).
     """
-
-
-class ConvergenceError(ReproError):
-    """The adaptive sampling loop failed to converge within its budget.
-
-    Carries the partially built histogram and the trace of cross-validation
-    iterations so callers can inspect (or accept) the best-effort result.
-
-    All constructor arguments flow through ``Exception.args``, keeping the
-    instance picklable across process boundaries (``TrialPool`` workers
-    re-raise these in the parent process).
-    """
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message, result)
-        self.result = result
-
-    def __str__(self) -> str:  # hide the result arg from the rendering
-        return str(self.args[0])
 
 
 class BuildAbortedError(ReproError):

@@ -526,7 +526,6 @@ class AtomicWriteRule(Rule):
     )
     paths = (
         "src/repro/cli.py",
-        "src/repro/obs/bench.py",
         "src/repro/obs/trace.py",
         "src/repro/engine/serialization.py",
         "src/repro/durability/*.py",

@@ -11,17 +11,11 @@ A zero-dependency subsystem the rest of the library reports into:
 - :mod:`repro.obs.catalog` — the **declared surface**: every metric name
   and span name the library may emit, which emissions are validated
   against and which ``docs/OBSERVABILITY.md`` documents exhaustively;
-- :mod:`repro.obs.bench` — the **deterministic benchmark harness**
-  (``python -m repro bench``): named scenarios measuring wall-clock plus
-  RNG-inert logical costs, a baseline comparator, and cProfile hooks.
-  Unlike its siblings it drives the library from above, so it is *not*
-  imported here (that would cycle through storage); import it explicitly
-  as ``from repro.obs import bench``;
 - :mod:`repro.obs.live` — **live telemetry primitives** (streaming
   quantile sketch, windowed timeseries, SLO tracker) for long-running
-  processes such as the statistics server.  Like ``bench`` it drives the
-  library from above (it builds histograms and bucket indexes), so it is
-  *not* imported here; import it explicitly as
+  processes such as the statistics server.  Unlike its siblings it drives
+  the library from above (it builds histograms and bucket indexes), so it
+  is *not* imported here; import it explicitly as
   ``from repro.obs import live``.
 
 Everything is **off by default and cheap when off**: with no active
@@ -32,8 +26,8 @@ or off (a regression test enforces this).
 Layering note: ``obs`` sits *below* every other subpackage (this package's
 ``__init__`` pulls in modules that import only :mod:`repro.exceptions`),
 precisely so that storage, sampling, core, engine and experiments can all
-report into it without cycles.  The two from-above modules (``bench``,
-``live``) are the deliberate exceptions and stay out of this ``__init__``.
+report into it without cycles.  The from-above subpackage ``live`` is
+the deliberate exception and stays out of this ``__init__``.
 
 Quick tour::
 

@@ -228,7 +228,7 @@ _SPECS = [
     MetricSpec(
         "repro_serve_request_seconds", HISTOGRAM, (),
         "Wall-clock seconds per served request (timing-only; excluded "
-        "from logical bench comparisons).",
+        "from the logical-cost baseline).",
     ),
     MetricSpec(
         "repro_serve_index_probes", HISTOGRAM, (),
@@ -262,9 +262,6 @@ SPANS: dict[str, str] = {
     "core.merge_equi_height": "One partition-histogram merge.",
     "pool.map": "One TrialPool.map fan-out (serial or process).",
     "chaos.sweep": "One chaos_sweep fault-rate sweep.",
-    "bench.run": "One `repro bench` invocation (all selected scenarios).",
-    "bench.scenario": "One benchmark scenario phase (setup, logical, "
-                      "measure, or profile).",
     "durability.checkpoint": "One catalog checkpoint (atomic snapshot "
                              "write plus journal truncation).",
     "durability.recover": "One CatalogStore open (snapshot load plus "

@@ -16,8 +16,7 @@ server's ``stats``/``health``/``watch`` endpoints (docs/TELEMETRY.md):
   error objectives with burn state, plus a total-variation shift detector
   comparing the live latency sketch against a frozen reference.
 
-Layering note: like :mod:`repro.obs.bench`, this subpackage drives the
-library *from above* (it imports :mod:`repro.core` and
+Layering note: this subpackage drives the library *from above* (it imports :mod:`repro.core` and
 :mod:`repro.serve`), so it is **not** imported by ``repro.obs``'s
 ``__init__`` — import it explicitly as ``from repro.obs import live``.
 All sketch and series names are declared in

@@ -9,13 +9,7 @@ from .design_effect import (
     required_blocks_with_correlation,
 )
 from .page_samplers import bernoulli_page_sample, systematic_page_sample
-from .record_sampler import (
-    bernoulli_sample,
-    reservoir_sample,
-    sample_records_from_file,
-    sample_with_replacement,
-    sample_without_replacement,
-)
+from .record_sampler import sample_records_from_file, sample_with_replacement
 from .schedule import (
     DoublingSchedule,
     LinearSchedule,
@@ -35,11 +29,8 @@ __all__ = [
     "required_blocks_with_correlation",
     "bernoulli_page_sample",
     "systematic_page_sample",
-    "bernoulli_sample",
-    "reservoir_sample",
     "sample_records_from_file",
     "sample_with_replacement",
-    "sample_without_replacement",
     "DoublingSchedule",
     "LinearSchedule",
     "SqrtSchedule",

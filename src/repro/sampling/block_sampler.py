@@ -84,10 +84,6 @@ class BlockSampleStream:
     uniform sample of pages.  Page reads are charged to the heap file's
     :class:`~repro.storage.iostats.IOStats` as batches are taken.
 
-    Pass *exclude* to sample only from pages not already consumed by an
-    earlier stream — the resume path of
-    :meth:`repro.core.adaptive.CVBSampler.refine`.
-
     Pass *retry* (and optionally *budget*) to survive fault injection:
     transient faults are retried, and a permanently unreadable page is
     consumed from the shuffled order (so it is never offered again) but
@@ -99,7 +95,6 @@ class BlockSampleStream:
         self,
         heapfile: HeapFile,
         rng: RngLike = None,
-        exclude: np.ndarray | None = None,
         retry: RetryPolicy | None = None,
         budget: BudgetTracker | None = None,
     ):
@@ -107,14 +102,7 @@ class BlockSampleStream:
         self._retry = retry
         self._budget = budget
         self._skipped: list[int] = []
-        generator = ensure_rng(rng)
-        if exclude is None or len(exclude) == 0:
-            candidates = np.arange(heapfile.num_pages)
-        else:
-            mask = np.ones(heapfile.num_pages, dtype=bool)
-            mask[np.asarray(exclude, dtype=np.int64)] = False
-            candidates = np.flatnonzero(mask)
-        self._order = candidates[generator.permutation(candidates.size)]
+        self._order = ensure_rng(rng).permutation(heapfile.num_pages)
         self._cursor = 0
 
     @property

@@ -2,15 +2,13 @@
 
 Section 3 of the paper analyses sampling individual tuples uniformly at
 random.  The analysis assumes sampling *with* replacement (binomial tails);
-sampling without replacement only helps (hypergeometric concentration), so
-both are provided.  :func:`sample_records_from_file` runs record-level
-sampling against the storage simulator, charging a full page read per tuple —
+sampling without replacement only helps (hypergeometric concentration).
+:func:`sample_records_from_file` runs record-level sampling, either way,
+against the storage simulator, charging a full page read per tuple —
 demonstrating why Section 4 moves to block-level sampling.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -22,9 +20,6 @@ from ..storage.heapfile import HeapFile
 
 __all__ = [
     "sample_with_replacement",
-    "sample_without_replacement",
-    "bernoulli_sample",
-    "reservoir_sample",
     "sample_records_from_file",
 ]
 
@@ -48,58 +43,6 @@ def sample_with_replacement(
     generator = ensure_rng(rng)
     indices = generator.integers(0, values.size, size=r) if r else np.empty(0, int)
     return values[indices]
-
-
-def sample_without_replacement(
-    values: np.ndarray, r: int, rng: RngLike = None
-) -> np.ndarray:
-    """*r* uniform draws from *values*, without replacement."""
-    _check_sample_size(r)
-    values = np.asarray(values)
-    if r > values.size:
-        raise ParameterError(
-            f"cannot draw {r} records without replacement from {values.size}"
-        )
-    generator = ensure_rng(rng)
-    indices = generator.choice(values.size, size=r, replace=False)
-    return values[indices]
-
-
-def bernoulli_sample(
-    values: np.ndarray, p: float, rng: RngLike = None
-) -> np.ndarray:
-    """Keep each value independently with probability *p*.
-
-    The sample size is itself random (binomial); useful for page-level
-    percentage sampling of the kind SQL Server 7.0 exposes.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must be in [0, 1], got {p}")
-    values = np.asarray(values)
-    generator = ensure_rng(rng)
-    mask = generator.random(values.size) < p
-    return values[mask]
-
-
-def reservoir_sample(
-    stream: Iterable, r: int, rng: RngLike = None
-) -> np.ndarray:
-    """Uniform sample of size *r* (without replacement) from a one-pass stream.
-
-    Vitter's Algorithm R.  Returns fewer than *r* items when the stream is
-    shorter than *r*.
-    """
-    _check_sample_size(r)
-    generator = ensure_rng(rng)
-    reservoir: list = []
-    for seen, item in enumerate(stream):
-        if seen < r:
-            reservoir.append(item)
-        else:
-            j = int(generator.integers(0, seen + 1))
-            if j < r:
-                reservoir[j] = item
-    return np.asarray(reservoir)
 
 
 def sample_records_from_file(

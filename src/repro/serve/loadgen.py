@@ -20,8 +20,8 @@ How client-count independence is achieved:
    a pure function of the answer multiset, immune to thread interleaving.
 
 The generator drives either an in-process :class:`StatsServer` (``handle``
-called directly — this is what the bench scenarios do) or a remote one
-over the JSON-lines TCP transport (``address=(host, port)``).
+called directly, as ``benchmarks/test_logical_costs.py`` does) or a remote
+one over the JSON-lines TCP transport (``address=(host, port)``).
 """
 
 from __future__ import annotations

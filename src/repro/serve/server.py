@@ -2,7 +2,7 @@
 
 :class:`StatsServer` is the transport-free core — ``handle(request)``
 takes one protocol request (a dict) and returns one response (a dict).
-In-process callers (the load generator, the bench scenarios, tests) call
+In-process callers (the load generator, the benchmarks, tests) call
 it directly from any number of threads; the TCP front end
 (:func:`serve_forever`) gives each connection its own thread, which reads
 a request line, calls ``handle`` and writes the answer, so a slow ANALYZE

@@ -19,7 +19,7 @@ only the logical side, mirroring the PR 8 serve-smoke contract.
 
 Telemetry never consumes randomness and never changes an answer
 (RNG-inert, proved by ``tests/serve/test_telemetry.py`` and re-proved by
-the ``telemetry_overhead`` bench scenario); when disabled the request
+the ``telemetry_overhead`` logical-cost scenario); when disabled the request
 path pays a single attribute check.
 """
 

@@ -135,9 +135,9 @@ class IOStats:
         """Capture the per-counter change across a ``with`` block.
 
         Yields a dict that is *filled in on exit* with ``after - before``
-        for every :meth:`snapshot` counter — the bench harness uses this to
-        charge exactly one measured run's I/O to its logical-cost record,
-        and it composes with tracing (which snapshots independently).
+        for every :meth:`snapshot` counter — the logical-cost baseline uses
+        this to charge exactly one measured run's I/O to its record, and
+        it composes with tracing (which snapshots independently).
         ``pages_touched`` deltas count pages first touched inside the
         block.
         """

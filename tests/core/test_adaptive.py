@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.adaptive import CVBConfig, CVBSampler, cvb_build
 from repro.core.error_metrics import fractional_max_error
-from repro.exceptions import ConvergenceError, ParameterError
-from repro.sampling.schedule import DoublingSchedule, LinearSchedule
+from repro.exceptions import ParameterError
+from repro.sampling.schedule import DoublingSchedule
 from repro.storage import HeapFile
 
 
@@ -83,6 +83,17 @@ class TestConvergence:
         )
         assert err == pytest.approx(0.0, abs=1e-12)
 
+    def test_impossible_target_scans_the_whole_file_exactly(self):
+        values = np.arange(1, 5_001)
+        hf = make_file(values, "random", b=10, rng=69)
+        result = cvb_build(hf, k=5, f=0.01, rng=70)
+        # Reached through validation rounds, not by the initial sample.
+        assert len(result.iterations) > 1
+        assert result.exhausted
+        assert result.converged
+        assert result.pages_sampled == hf.num_pages
+        np.testing.assert_array_equal(result.sample, values)
+
     def test_empty_file_rejected(self):
         hf = HeapFile(np.array([]), blocking_factor=10)
         with pytest.raises(ParameterError):
@@ -130,16 +141,18 @@ class TestBudget:
         result = CVBSampler(config).run(hf, rng=20)
         assert result.pages_sampled <= int(0.25 * hf.num_pages) + 1
 
-    def test_run_strict_raises_when_budget_blocks_convergence(self):
+    def test_budget_blocking_convergence_returns_the_partial_result(self):
         values = np.arange(1, 50_001)
         hf = make_file(values, "sorted", b=25, rng=21)
         config = CVBConfig(k=50, f=0.02, max_sampled_fraction=0.1)
-        sampler = CVBSampler(config, schedule=LinearSchedule(10))
-        with pytest.raises(ConvergenceError) as excinfo:
-            sampler.run_strict(hf, rng=22)
-        # The partial result rides along for inspection.
-        assert excinfo.value.result is not None
-        assert excinfo.value.result.pages_sampled > 0
+        result = CVBSampler(config, schedule=DoublingSchedule(10)).run(
+            hf, rng=22
+        )
+        # No error: the caller reads the verdict off the result.
+        assert not result.converged
+        assert not result.exhausted
+        assert 0 < result.pages_sampled <= int(0.1 * hf.num_pages) + 1
+        assert result.histogram.total == result.tuples_sampled
 
 
 class TestSchedulesAndModes:
@@ -253,65 +266,7 @@ class TestEdgeCases:
         )
 
 
-class TestRefine:
-    def test_refine_reuses_previous_pages(self):
-        values = np.arange(1, 100_001)
-        hf = make_file(values, "random", b=50, rng=60)
-        coarse = CVBSampler(CVBConfig(k=10, f=0.4)).run(hf, rng=61)
-        assert coarse.converged
-        hf.iostats.reset()
-
-        fine = CVBSampler(CVBConfig(k=10, f=0.15)).refine(hf, coarse, rng=62)
-        assert fine.converged
-        # The refined run reports the union of pages...
-        assert fine.pages_sampled >= coarse.pages_sampled
-        # ...but only paid for the fresh ones.
-        fresh = fine.pages_sampled - coarse.pages_sampled
-        assert hf.iostats.page_reads == fresh
-
-    def test_refined_pages_disjoint_from_previous(self):
-        values = np.arange(1, 50_001)
-        hf = make_file(values, "random", b=25, rng=63)
-        coarse = CVBSampler(CVBConfig(k=10, f=0.4)).run(hf, rng=64)
-        fine = CVBSampler(CVBConfig(k=10, f=0.2)).refine(hf, coarse, rng=65)
-        previous = set(coarse.sampled_pages.tolist())
-        fresh = set(fine.sampled_pages.tolist()) - previous
-        assert previous <= set(fine.sampled_pages.tolist())
-        assert len(fresh) == fine.pages_sampled - coarse.pages_sampled
-
-    def test_refine_improves_error(self):
-        from repro.core.error_metrics import fractional_max_error
-
-        values = np.arange(1, 100_001)
-        data = np.sort(values)
-        hf = make_file(values, "random", b=50, rng=66)
-        coarse = CVBSampler(CVBConfig(k=20, f=0.5)).run(hf, rng=67)
-        fine = CVBSampler(CVBConfig(k=20, f=0.15)).refine(hf, coarse, rng=68)
-        err_coarse = fractional_max_error(
-            coarse.histogram.separators, coarse.sample, data
-        )
-        err_fine = fractional_max_error(
-            fine.histogram.separators, fine.sample, data
-        )
-        assert err_fine <= err_coarse + 0.02
-
-    def test_refine_to_exhaustion_is_exact(self):
-        values = np.arange(1, 5_001)
-        hf = make_file(values, "random", b=10, rng=69)
-        coarse = CVBSampler(CVBConfig(k=5, f=0.5)).run(hf, rng=70)
-        # Demand an impossible error: refine should scan the remainder.
-        fine = CVBSampler(CVBConfig(k=5, f=0.01)).refine(hf, coarse, rng=71)
-        assert fine.exhausted
-        assert fine.tuples_sampled == values.size
-
-    def test_refine_without_page_ids_rejected(self):
-        values = np.arange(1, 10_001)
-        hf = make_file(values, "random", b=25, rng=72)
-        result = cvb_build(hf, k=5, f=0.4, rng=73)
-        result.sampled_pages = None
-        with pytest.raises(ParameterError):
-            CVBSampler(CVBConfig(k=5, f=0.2)).refine(hf, result, rng=74)
-
+class TestSampledPages:
     def test_sampled_pages_recorded_on_plain_run(self):
         values = np.arange(1, 20_001)
         hf = make_file(values, "random", b=25, rng=75)
@@ -319,3 +274,16 @@ class TestRefine:
         assert result.sampled_pages is not None
         assert result.sampled_pages.size == result.pages_sampled
         assert np.unique(result.sampled_pages).size == result.pages_sampled
+
+    def test_sample_is_the_tuples_of_the_sampled_pages(self):
+        values = np.arange(1, 20_001)
+        hf = make_file(values, "random", b=25, rng=77)
+        result = cvb_build(hf, k=10, f=0.3, rng=78)
+        pages = np.sort(hf.read_pages(result.sampled_pages))
+        np.testing.assert_array_equal(result.sample, pages)
+
+    def test_each_sampled_page_is_read_once(self):
+        values = np.arange(1, 20_001)
+        hf = make_file(values, "random", b=25, rng=79)
+        result = cvb_build(hf, k=10, f=0.3, rng=80)
+        assert hf.iostats.page_reads == result.pages_sampled

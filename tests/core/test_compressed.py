@@ -70,6 +70,55 @@ class TestConstruction:
         assert len(loose.singletons) == 0
 
 
+class TestOneDimensionalColumns:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda values: CompressedHistogram.from_values(values, k=2),
+            lambda values: CompressedHistogram.from_sample(values, 100, k=2),
+        ],
+        ids=["from_values", "from_sample"],
+    )
+    @pytest.mark.parametrize(
+        "values",
+        # Sorting each row of the 2-D input, then reading the rows as one
+        # sorted run, used to give separator 3.0 with counts [5, 1].
+        [
+            np.array(3.0),
+            np.array([[3, 1, 2], [1, 1, 5]]),
+            np.arange(6.0).reshape(6, 1),
+        ],
+        ids=["0-d", "2-D", "column-vector"],
+    )
+    def test_other_shapes_rejected(self, build, values):
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            build(values)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            skewed_values(),
+            np.arange(1, 2001),
+            np.full(500, 7),
+            np.repeat([0.5, 1.5, 2.5, 9.0], [300, 5, 700, 40]),
+        ],
+        ids=["skewed", "distinct", "constant", "heavy-floats"],
+    )
+    def test_read_only_sorted_column_builds_the_shuffled_copys_histogram(
+        self, column
+    ):
+        # A sorted column is used as it is, so the build must not write
+        # into it.
+        column = np.sort(column)
+        column.flags.writeable = False
+        shuffled = np.random.default_rng(0).permutation(column)
+        built = CompressedHistogram.from_values(column, k=10)
+        expected = CompressedHistogram.from_values(shuffled, k=10)
+        assert built.singletons == expected.singletons
+        assert built.remainder == expected.remainder
+        assert built.total == expected.total
+
+
 class TestEstimation:
     def test_equality_on_singleton_is_exact(self):
         hist = CompressedHistogram.from_values(skewed_values(), k=10)

@@ -287,6 +287,50 @@ class TestInputValidation:
         assert hist.total == 100
 
 
+class TestOneDimensionalColumns:
+    """A histogram is built over a 1-D column; any other shape is a typed
+    error, not an IndexError from deep inside a kernel."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            EquiHeightHistogram.from_values,
+            EquiHeightHistogram.from_sorted_values,
+        ],
+        ids=["from_values", "from_sorted_values"],
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array(3.0),
+            np.array([[1, 1, 2], [3, 5, 5]]),
+            np.arange(6.0).reshape(6, 1),
+        ],
+        ids=["0-d", "2-D", "column-vector"],
+    )
+    def test_other_shapes_rejected(self, build, values):
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            build(values, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            EquiHeightHistogram.from_values,
+            EquiHeightHistogram.from_sorted_values,
+        ],
+        ids=["from_values", "from_sorted_values"],
+    )
+    def test_read_only_sorted_column_is_used_as_it_is(self, build):
+        # An already-sorted column skips the sort, so the build reads the
+        # caller's array and must not write into it.
+        column = np.repeat(np.arange(1, 51), np.arange(1, 51))
+        column.flags.writeable = False
+        built = build(column, 7)
+        assert built == EquiHeightHistogram.from_values(
+            np.random.default_rng(0).permutation(column), 7
+        )
+
+
 class TestQuantileEstimation:
     def test_endpoints(self):
         hist = EquiHeightHistogram.from_values(np.arange(1, 1001), 10)

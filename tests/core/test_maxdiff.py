@@ -29,6 +29,16 @@ class TestConstruction:
         assert hist.k == 1
         assert hist.buckets()[0] == MaxDiffBucket(7.0, 7.0, 50, 1)
 
+    def test_two_dimensional_input_is_one_multiset(self):
+        # Unlike the equi-height constructors, MaxDiff counts values, so a
+        # 2-D array is read as the multiset of all its entries.
+        grid = np.array([[3, 1, 2], [1, 1, 5]])
+        hist = MaxDiffHistogram.from_values(grid, 2)
+        assert hist.buckets() == MaxDiffHistogram.from_values(
+            grid.ravel(), 2
+        ).buckets()
+        assert hist.total == grid.size
+
     def test_hot_value_isolated(self):
         """The defining MaxDiff property: the frequency spike lands on
         bucket boundaries, isolating the hot value."""

@@ -154,31 +154,6 @@ class TestCompressedHistogramAccessor:
             stats.compressed_histogram()
 
 
-
-class TestAnalyzeAll:
-    def test_every_column_analyzed(self, orders_table):
-        manager = StatisticsManager()
-        results = manager.analyze_all(orders_table, k=10, f=0.3, rng=40)
-        assert set(results) == {"qty", "price"}
-        for name, stats in results.items():
-            assert stats.column_name == name
-            assert stats.histogram.k == 10
-        assert len(manager.catalog) == 2
-
-    def test_columns_get_independent_streams(self, orders_table):
-        manager = StatisticsManager()
-        results = manager.analyze_all(orders_table, k=10, f=0.3, rng=41)
-        # Different columns, different samples — not byte-identical runs.
-        assert not np.array_equal(
-            results["qty"].sample, results["price"].sample
-        )
-
-    def test_deterministic(self, orders_table):
-        a = StatisticsManager().analyze_all(orders_table, k=10, f=0.3, rng=42)
-        b = StatisticsManager().analyze_all(orders_table, k=10, f=0.3, rng=42)
-        assert a["qty"].histogram == b["qty"].histogram
-
-
 class TestQuantilePassthrough:
     def test_quantiles_from_sampled_statistics(self, orders_table):
         manager = StatisticsManager()

@@ -1,15 +1,13 @@
-"""Lifecycle integration: build -> persist -> reload -> refine -> refresh.
+"""Lifecycle integration: build -> persist -> reload -> refresh.
 
 Exercises the catalog operations a long-lived deployment performs, across
-module boundaries: CVB builds, JSON persistence, coarse-to-fine refinement,
-and policy-driven refresh, all against the storage simulator.
+module boundaries: CVB builds, JSON persistence and policy-driven refresh,
+all against the storage simulator.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.adaptive import CVBConfig, CVBSampler
-from repro.core.error_metrics import fractional_max_error
 from repro.engine import (
     AutoStatistics,
     RefreshPolicy,
@@ -39,37 +37,6 @@ class TestLifecycle:
                 stats.estimate_range(lo, hi)
             )
 
-    def test_coarse_build_then_refine_cheaper_than_rebuild(self):
-        """Refining a coarse run to a tight target reads fewer fresh pages
-        than building the tight histogram from scratch."""
-        dataset = make_dataset("zipf0", 100_000, rng=2)
-        values = dataset.values
-
-        def heapfile():
-            from repro.storage import HeapFile
-
-            return HeapFile.from_values(
-                values, layout="random", rng=3, blocking_factor=50
-            )
-
-        coarse_hf = heapfile()
-        coarse = CVBSampler(CVBConfig(k=25, f=0.25)).run(coarse_hf, rng=4)
-        coarse_hf.iostats.reset()
-        refined = CVBSampler(CVBConfig(k=25, f=0.15)).refine(
-            coarse_hf, coarse, rng=5
-        )
-        fresh_pages = coarse_hf.iostats.page_reads
-
-        scratch_hf = heapfile()
-        scratch = CVBSampler(CVBConfig(k=25, f=0.15)).run(scratch_hf, rng=5)
-
-        assert refined.converged and scratch.converged
-        assert fresh_pages < scratch.pages_sampled
-        err = fractional_max_error(
-            refined.histogram.separators, refined.sample, values
-        )
-        assert err < 0.3
-
     def test_catalog_survives_dump_and_refresh_cycle(self):
         """Dump a multi-column catalog, reload it into a new manager, keep
         refreshing with the auto policy."""
@@ -96,7 +63,7 @@ class TestLifecycle:
         assert refreshed.n == 30_000
 
     def test_all_columns_pipeline(self):
-        """analyze_all + catalog + range answers on every column."""
+        """ANALYZE + catalog + range answers on every column."""
         rng = np.random.default_rng(10)
         table = Table(
             "t",
@@ -107,8 +74,9 @@ class TestLifecycle:
             },
         )
         manager = StatisticsManager()
-        results = manager.analyze_all(table, k=20, f=0.25, rng=11)
-        assert len(results) == 3
+        for seed, name in enumerate(table.column_names, start=11):
+            manager.analyze(table, name, k=20, f=0.25, rng=seed)
+        assert len(manager.catalog) == 3
         for name in ("a", "b", "c"):
             column = table.column(name).sorted_values()
             lo, hi = float(np.quantile(column, 0.2)), float(

@@ -86,6 +86,14 @@ class TestBlockSampleStream:
         with pytest.raises(ParameterError):
             stream.take(-1)
 
+    def test_order_is_the_generators_permutation_of_the_pages(self):
+        hf = HeapFile(np.arange(1000), blocking_factor=10)
+        stream = BlockSampleStream(hf, 7)
+        stream.take(5)
+        stream.take(20)
+        expected = np.random.default_rng(7).permutation(hf.num_pages)
+        np.testing.assert_array_equal(stream.taken_ids, expected[:25])
+
     def test_uniformity_of_first_batch(self):
         """The first batch is a uniform page sample: over many seeds every
         page appears roughly equally often."""

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.obs import metrics
 from repro.sampling.record_sampler import (
-    bernoulli_sample,
-    reservoir_sample,
     sample_records_from_file,
     sample_with_replacement,
-    sample_without_replacement,
 )
 from repro.storage import HeapFile
 
@@ -42,58 +40,6 @@ class TestWithReplacement:
         assert abs(counts - 10_000).max() < 600  # ~6 sigma
 
 
-class TestWithoutReplacement:
-    def test_no_duplicates(self, rng):
-        out = sample_without_replacement(np.arange(1000), 500, rng)
-        assert np.unique(out).size == 500
-
-    def test_full_population(self, rng):
-        out = sample_without_replacement(np.arange(50), 50, rng)
-        np.testing.assert_array_equal(np.sort(out), np.arange(50))
-
-    def test_oversampling_rejected(self, rng):
-        with pytest.raises(ParameterError):
-            sample_without_replacement(np.arange(10), 11, rng)
-
-
-class TestBernoulli:
-    def test_expected_size(self, rng):
-        out = bernoulli_sample(np.arange(100_000), 0.1, rng)
-        assert out.size == pytest.approx(10_000, rel=0.1)
-
-    def test_p_zero_and_one(self, rng):
-        assert bernoulli_sample(np.arange(100), 0.0, rng).size == 0
-        assert bernoulli_sample(np.arange(100), 1.0, rng).size == 100
-
-    def test_invalid_p_rejected(self, rng):
-        with pytest.raises(ParameterError):
-            bernoulli_sample(np.arange(10), 1.5, rng)
-
-
-class TestReservoir:
-    def test_size_capped(self, rng):
-        out = reservoir_sample(iter(range(1000)), 32, rng)
-        assert out.size == 32
-
-    def test_short_stream_returned_whole(self, rng):
-        out = reservoir_sample(iter(range(5)), 32, rng)
-        np.testing.assert_array_equal(np.sort(out), np.arange(5))
-
-    def test_uniformity(self):
-        """Each element of a 20-stream should land in a 5-reservoir with
-        probability 1/4."""
-        hits = np.zeros(20)
-        for seed in range(3000):
-            out = reservoir_sample(iter(range(20)), 5, seed)
-            hits[out] += 1
-        expected = 3000 * 5 / 20
-        assert abs(hits - expected).max() < 120  # loose 4-sigma bound
-
-    def test_negative_size_rejected(self, rng):
-        with pytest.raises(ParameterError):
-            reservoir_sample(iter(range(5)), -1, rng)
-
-
 class TestFromFile:
     def test_each_record_costs_a_page(self, rng):
         hf = HeapFile(np.arange(1000), blocking_factor=10)
@@ -115,3 +61,19 @@ class TestFromFile:
         hf = HeapFile(np.array([]), blocking_factor=5)
         with pytest.raises(ParameterError):
             sample_records_from_file(hf, 1, rng)
+
+    @pytest.mark.parametrize(
+        "with_replacement, mode",
+        [(True, "with_replacement"), (False, "without_replacement")],
+    )
+    def test_samples_counted_by_mode(self, rng, with_replacement, mode):
+        hf = HeapFile(np.arange(1000), blocking_factor=10)
+        with metrics.collecting() as registry:
+            out = sample_records_from_file(
+                hf, 40, rng, with_replacement=with_replacement
+            )
+        assert out.size == 40
+        assert registry.counter_value(
+            "repro_record_samples_total", mode=mode
+        ) == 40
+        assert hf.iostats.page_reads == 40

@@ -2,15 +2,16 @@
 
 SERVING.md promises its endpoint table mirrors
 ``repro.serve.protocol.ENDPOINTS`` and that the serving metric/span/
-scenario names it cites are declared in ``repro.obs.catalog`` and the
-bench registry.  INDEX.md promises to list every documentation file.
-These tests enforce both promises literally, mirroring
+scenario names it cites are declared in ``repro.obs.catalog`` and
+``benchmarks/baseline.json``.  INDEX.md promises to list every
+documentation file.  These tests enforce both promises literally, mirroring
 ``tests/obs/test_docs.py``: the served surface cannot change without the
 docs moving in lockstep.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 
@@ -108,11 +109,12 @@ class TestObservabilitySync:
         assert not phantom, f"doc cites undeclared spans: {sorted(phantom)}"
 
     def test_serve_scenarios_documented(self):
-        from repro.obs.bench import SCENARIOS
-
+        baseline = json.loads(
+            (ROOT / "benchmarks" / "baseline.json").read_text()
+        )
         text = SERVING_DOC.read_text()
-        serve = [n for n in SCENARIOS if n.startswith("serve_")]
-        assert serve, "no serve_* scenarios registered"
+        serve = [n for n in baseline["scenarios"] if n.startswith("serve_")]
+        assert serve, "no serve_* scenarios in the baseline"
         missing = [n for n in serve if f"`{n}`" not in text]
         assert not missing, f"undocumented serve scenarios: {missing}"
 

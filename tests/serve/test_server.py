@@ -200,6 +200,25 @@ class TestDeterminism:
             )))
         assert responses[0] == responses[1]
 
+    def test_columns_draw_independent_streams(self):
+        # One server seed, two columns holding the same values: each build
+        # seeds from its column's name, so the samples differ.
+        values = np.arange(ROWS)
+        server = StatsServer(
+            {"t": Table("t", {"x": values, "y": values.copy()})},
+            seed=7,
+            build_params={"k": 8, "f": 0.3},
+        )
+        for column in ("x", "y"):
+            _ok(server.handle(
+                {"op": "analyze", "table": "t", "column": column}
+            ))
+        manager = server.auto.manager
+        assert not np.array_equal(
+            manager.statistics("t", "x").sample,
+            manager.statistics("t", "y").sample,
+        )
+
     def test_build_rng_depends_on_build_number_not_arrival(self):
         server_a = _server(seed=7)
         _ok(server_a.handle({"op": "analyze", "table": "t", "column": "x"}))

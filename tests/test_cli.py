@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +226,33 @@ class TestParser:
             build_parser().parse_args(["demo", "mystery"])
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: The docs a reader copies ``python -m repro ...`` invocations from.
+DOCS = [
+    ROOT / "README.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+
+
+class TestDocumentedInvocations:
+    @pytest.mark.parametrize("doc", DOCS, ids=lambda path: path.name)
+    def test_every_cited_subcommand_exists(self, doc, capsys):
+        """A removed or renamed subcommand that a doc still shows fails
+        here, naming the doc."""
+        cited = set(
+            re.findall(r"python -m repro ([a-z][a-z_-]*)", doc.read_text())
+        )
+        missing = []
+        for subcommand in sorted(cited):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([subcommand, "--help"])
+            if exc.value.code != 0:
+                missing.append(subcommand)
+        capsys.readouterr()
+        assert not missing, f"{doc.name} cites unknown subcommands: {missing}"
+
+
 class TestSaveAndEstimate:
     def test_roundtrip_through_files(self, tmp_path, capsys):
         values_path = tmp_path / "values.npy"
@@ -375,98 +404,15 @@ class TestMetricsWrapper:
 
 
 class TestBench:
-    BENCH = [
-        "bench", "--scale", "smoke", "--repeats", "1", "--warmup", "0",
-    ]
-    SUBSET = ["--scenario", "merge_equi_height", "--scenario", "distinct_gee"]
-
-    def test_list_names_every_scenario(self, capsys):
-        from repro.obs import bench
-
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        for name in bench.SCENARIOS:
-            assert name in out
-
-    def test_subset_run_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main(self.BENCH + self.SUBSET + ["--out", str(out)])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "merge_equi_height" in captured.out
-        report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
-        assert sorted(report["scenarios"]) == [
-            "distinct_gee", "merge_equi_height",
-        ]
-
-    def test_run_without_out_writes_no_file(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(self.BENCH + self.SUBSET) == 0
-        assert "merge_equi_height" in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []
-
-    def test_rejects_bad_repeats(self, capsys):
-        assert main(["bench", "--repeats", "0"]) == 2
-        assert "--repeats" in capsys.readouterr().err
-
-    def test_rejects_bad_wall_tolerance(self, capsys):
-        # Wall-clock is never compared across runs, so the flag is gone.
+    def test_bench_is_a_usage_error(self, capsys):
+        # The logical costs are the golden benchmarks/baseline.json of
+        # benchmarks/test_logical_costs.py; the wall gates are
+        # benchmarks/wall_gates.py.
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--wall-tolerance", "2"])
+            main(["bench"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --wall-tolerance" in (
-            capsys.readouterr().err
-        )
-
-    def test_unknown_scenario_is_clean_error(self, capsys):
-        code = main(["bench", "--scenario", "nope", "--scale", "smoke"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_failed_wall_gate_exits_3(self, tmp_path, monkeypatch, capsys):
-        import dataclasses
-
-        from repro.obs import bench
-
-        scenario = bench.SCENARIOS["serve_cache"]
-
-        def slow_hits(ctx):
-            result = scenario.run(ctx)
-            ctx["wall_extra"]["hit_request_s"] = 1e3  # doctored reading
-            return result
-
-        monkeypatch.setitem(
-            bench.SCENARIOS, "serve_cache",
-            dataclasses.replace(scenario, run=slow_hits),
-        )
-        out = tmp_path / "bench.json"
-        code = main(
-            self.BENCH + ["--scenario", "serve_cache", "--out", str(out)]
-        )
-        assert code == 3
-        assert "gate: serve_cache" in capsys.readouterr().err
-        wall = json.loads(out.read_text())["scenarios"]["serve_cache"]["wall"]
-        assert wall["gate"]["passed"] is False
-
-    @pytest.mark.parametrize("flag", [["--checkpoint", "ckpt"], ["--resume"]])
-    def test_checkpoint_flags_are_rejected(self, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", *flag])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag", [["--compare", "benchmarks/baseline.json"],
-                 ["--update-baseline"]],
-    )
-    def test_baseline_flags_are_usage_errors(self, flag, capsys):
-        # The test suite checks benchmarks/baseline.json like every golden
-        # file, and REPRO_REGEN_GOLDEN=1 rewrites it.
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", *flag])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bench" in err
 
 
 class TestLint:

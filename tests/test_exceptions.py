@@ -16,7 +16,6 @@ import pytest
 from repro.exceptions import (
     BuildAbortedError,
     CatalogError,
-    ConvergenceError,
     EmptyDataError,
     InfeasibleBoundError,
     PageCorruptionError,
@@ -33,7 +32,6 @@ ALL_CONCRETE = [
     ParameterError("bad param"),
     EmptyDataError("no data"),
     InfeasibleBoundError("bound infeasible"),
-    ConvergenceError("no convergence"),
     BuildAbortedError("budget gone", snapshot={"failed_reads": 3}),
     StorageError("storage"),
     PageFullError("full"),
@@ -92,20 +90,6 @@ class TestPicklability:
             pickle.dumps(BuildAbortedError("over", snapshot={"skipped_pages": 5}))
         )
         assert b.snapshot == {"skipped_pages": 5}
-
-    def test_round_trip_preserves_convergence_result(self):
-        """EXC001 regression: the partial result must survive pickling.
-
-        ``ConvergenceError.__init__`` used to drop ``result`` from
-        ``super().__init__``, so a TrialPool worker's best-effort
-        histogram silently vanished at the process boundary.
-        """
-        payload = {"buckets": [1, 2, 3], "iterations": 4}
-        exc = ConvergenceError("did not converge", result=payload)
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.result == payload
-        assert clone.args == exc.args
-        assert str(clone) == "did not converge"
 
     def test_build_aborted_crosses_a_real_process_boundary(self):
         """The exact path TrialPool uses: a worker raises, the parent

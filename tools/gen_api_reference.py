@@ -155,15 +155,13 @@ SECTIONS = [
     ),
     (
         "repro.obs — observability",
-        "Metrics registry, trace spans, exporters, the deterministic "
-        "benchmark harness and the live-telemetry primitives; see "
-        "docs/OBSERVABILITY.md for the full catalog and docs/TELEMETRY.md "
-        "for the streaming sketch semantics.",
+        "Metrics registry, trace spans, exporters and the live-telemetry "
+        "primitives; see docs/OBSERVABILITY.md for the full catalog and "
+        "docs/TELEMETRY.md for the streaming sketch semantics.",
         [
             "repro.obs.catalog",
             "repro.obs.metrics",
             "repro.obs.trace",
-            "repro.obs.bench",
             "repro.obs.live.sketch",
             "repro.obs.live.window",
             "repro.obs.live.slo",
