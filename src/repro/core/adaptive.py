@@ -245,7 +245,6 @@ class CVBSampler:
         with _trace.span(
             "cvb.build",
             iostats=heapfile.iostats,
-            phase="run",
             k=cfg.k,
             f=cfg.f,
             metric=cfg.metric,

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 
 from ..engine.catalog import Catalog
@@ -104,6 +105,9 @@ class CatalogStore:
             write_faults.injector() if write_faults is not None else None
         )
         self.catalog = _DurableCatalog(self)
+        #: Held across a mutation's version bump, sequence number and
+        #: journal append, so journal order is sequence order.
+        self._lock = threading.Lock()
         self._seq = 0
         self.recoveries: dict[str, int] = {}
         self.replayed = 0
@@ -186,34 +190,37 @@ class CatalogStore:
 
     def put(self, statistics) -> int:
         """Install statistics in the catalog and journal the mutation."""
-        version = Catalog.put(self.catalog, statistics)
-        self._seq += 1
-        _journal.append_record(
-            self._journal_path,
-            {
-                "seq": self._seq,
-                "op": "put",
-                "version": version,
-                "statistics": statistics_to_dict(statistics),
-            },
-            injector=self._injector,
-        )
+        record = statistics_to_dict(statistics)
+        with self._lock:
+            version = Catalog.put(self.catalog, statistics)
+            self._seq += 1
+            _journal.append_record(
+                self._journal_path,
+                {
+                    "seq": self._seq,
+                    "op": "put",
+                    "version": version,
+                    "statistics": record,
+                },
+                injector=self._injector,
+            )
         return version
 
     def drop(self, table_name: str, column_name: str) -> None:
         """Drop a column's statistics and journal the drop."""
-        Catalog.drop(self.catalog, table_name, column_name)
-        self._seq += 1
-        _journal.append_record(
-            self._journal_path,
-            {
-                "seq": self._seq,
-                "op": "drop",
-                "table": table_name,
-                "column": column_name,
-            },
-            injector=self._injector,
-        )
+        with self._lock:
+            Catalog.drop(self.catalog, table_name, column_name)
+            self._seq += 1
+            _journal.append_record(
+                self._journal_path,
+                {
+                    "seq": self._seq,
+                    "op": "drop",
+                    "table": table_name,
+                    "column": column_name,
+                },
+                injector=self._injector,
+            )
 
     # ------------------------------------------------------------------
     # Checkpoint

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING
 
 from ..exceptions import StatisticsNotFoundError
@@ -17,18 +18,22 @@ class Catalog:
 
     Re-analyzing a column replaces the prior entry; the catalog keeps a
     monotonically increasing version per key so callers can detect refreshes.
+    Writers serialise on one lock, so concurrent puts of one key get
+    distinct versions; reads are lock-free dict lookups.
     """
 
     def __init__(self):
         self._entries: dict[tuple[str, str], "ColumnStatistics"] = {}
         self._versions: dict[tuple[str, str], int] = {}
+        self._lock = threading.Lock()
 
     def put(self, statistics: "ColumnStatistics") -> int:
         """Store (or replace) statistics; returns the new version number."""
         key = (statistics.table_name, statistics.column_name)
-        self._entries[key] = statistics
-        self._versions[key] = self._versions.get(key, 0) + 1
-        return self._versions[key]
+        with self._lock:
+            self._entries[key] = statistics
+            version = self._versions[key] = self._versions.get(key, 0) + 1
+        return version
 
     def get(self, table_name: str, column_name: str) -> "ColumnStatistics":
         """Fetch statistics for ``table.column`` (raises when missing)."""
@@ -55,10 +60,11 @@ class Catalog:
         after a snapshot.
         """
         key = (statistics.table_name, statistics.column_name)
-        if version <= self._versions.get(key, 0):
-            return
-        self._entries[key] = statistics
-        self._versions[key] = version
+        with self._lock:
+            if version <= self._versions.get(key, 0):
+                return
+            self._entries[key] = statistics
+            self._versions[key] = version
 
     def drop(self, table_name: str, column_name: str) -> None:
         """Remove statistics for one column (idempotent)."""

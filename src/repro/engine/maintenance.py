@@ -29,17 +29,23 @@ __all__ = ["ModificationCounter", "RefreshPolicy", "AutoStatistics"]
 
 
 class ModificationCounter:
-    """Counts row modifications per (table, column) since the last refresh."""
+    """Counts row modifications per (table, column) since the last refresh.
+
+    Thread-safe: writers serialise on one lock; ``since_refresh`` is a
+    lock-free read.
+    """
 
     def __init__(self):
         self._counts: dict[tuple[str, str], int] = {}
+        self._lock = threading.Lock()
 
     def record(self, table_name: str, column_name: str, rows: int = 1) -> None:
         """Register *rows* modified rows (insert, update or delete alike)."""
         if rows < 0:
             raise ParameterError(f"rows must be non-negative, got {rows}")
         key = (table_name, column_name)
-        self._counts[key] = self._counts.get(key, 0) + rows
+        with self._lock:
+            self._counts[key] = self._counts.get(key, 0) + rows
 
     def since_refresh(self, table_name: str, column_name: str) -> int:
         """Modifications recorded since the last ``reset``."""
@@ -47,7 +53,8 @@ class ModificationCounter:
 
     def reset(self, table_name: str, column_name: str) -> None:
         """Zero the counter after a successful refresh."""
-        self._counts.pop((table_name, column_name), None)
+        with self._lock:
+            self._counts.pop((table_name, column_name), None)
 
 
 @dataclass(frozen=True)
@@ -101,13 +108,14 @@ class AutoStatistics:
         self.refresh_count = 0
         #: How many refreshes aborted and served a degraded last-known-good.
         self.degraded_count = 0
-        self._flight_guard = threading.Lock()
+        #: Guards the flight-lock map and the two tallies above.
+        self._lock = threading.Lock()
         self._flight_locks: dict[tuple[str, str], threading.Lock] = {}
 
     def _flight_lock(self, table_name: str, column_name: str) -> threading.Lock:
         """The single-flight lock serialising refreshes of one column."""
         key = (table_name, column_name)
-        with self._flight_guard:
+        with self._lock:
             lock = self._flight_locks.get(key)
             if lock is None:
                 lock = self._flight_locks[key] = threading.Lock()
@@ -189,12 +197,14 @@ class AutoStatistics:
             **params,
         )
         if not ok:
-            self.degraded_count += 1
+            with self._lock:
+                self.degraded_count += 1
             _metrics.inc("repro_autostats_requests_total", result="degraded")
             span.set(result="degraded")
             return refreshed
         self.modifications.reset(table.name, column_name)
-        self.refresh_count += 1
+        with self._lock:
+            self.refresh_count += 1
         _metrics.inc("repro_autostats_requests_total", result="refreshed")
         span.set(result="refreshed")
         return refreshed

@@ -13,7 +13,8 @@ multi-tenant statistics server:
   wait queue and load shedding into degraded-mode serving.
 - :mod:`repro.serve.protocol` — the JSON request/response surface.
 - :mod:`repro.serve.server` — the server core (synchronous ``handle``)
-  plus a JSON-lines-over-TCP front end with one thread per connection.
+  plus a JSON-lines-over-TCP front end: one I/O thread answers read-only
+  requests, and a connection that builds gets a thread of its own.
 - :mod:`repro.serve.loadgen` — a deterministic closed-loop load generator
   whose logical summary is bit-identical across runs and client counts.
 - :mod:`repro.serve.telemetry` — optional live runtime telemetry

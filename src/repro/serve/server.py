@@ -1,11 +1,13 @@
-"""The statistics server: synchronous core + threaded JSON-lines front end.
+"""The statistics server: synchronous core + JSON-lines TCP front end.
 
 :class:`StatsServer` is the transport-free core — ``handle(request)``
 takes one protocol request (a dict) and returns one response (a dict).
 In-process callers (the load generator, the benchmarks, tests) call
-it directly from any number of threads; the TCP front end
-(:func:`serve_forever`) gives each connection its own thread, which reads
-a request line, calls ``handle`` and writes the answer, so a slow ANALYZE
+it directly from any number of threads.  The TCP front end
+(:func:`serve_forever`) answers on one I/O thread, which reads request
+lines from every connection, calls ``handle`` inline and writes the
+answers.  At its first request that may run an ANALYZE, a connection
+moves to a thread of its own for the rest of its life, so a slow build
 blocks only the connection that asked for it.
 
 Determinism: every ANALYZE executed by the server draws its RNG from
@@ -214,6 +216,30 @@ class StatsServer:
                     time.perf_counter() - started,  # repro: noqa[DET002] telemetry-only timing
                 )
             return {"ok": True, "op": op, "result": result}
+
+    def _may_build(self, request: object) -> bool:
+        """Whether answering *request* may run an ANALYZE.
+
+        True for ``analyze``, and for an estimate on a served table whose
+        column has no statistics yet or stale ones; a request this calls
+        read-only may still fail validation in :meth:`handle`.  The TCP
+        front end answers read-only requests on its I/O thread.
+        """
+        if not isinstance(request, dict):
+            return False
+        op, table, column = (
+            request.get("op"), request.get("table"), request.get("column")
+        )
+        if op == "analyze":
+            return True
+        if not (isinstance(op, str) and op.startswith("estimate_")
+                and isinstance(table, str) and isinstance(column, str)
+                and table in self.tables):
+            return False
+        try:
+            return self.auto.is_stale(table, column)
+        except StatisticsNotFoundError:
+            return True
 
     def _count(self, op: str) -> None:
         """Bump the per-endpoint request counters (plain + metric)."""
@@ -484,15 +510,18 @@ class StatsServer:
 
 
 # ----------------------------------------------------------------------
-# TCP front end: one thread per connection
+# TCP front end: one I/O thread, and a thread per connection that builds
 # ----------------------------------------------------------------------
 
 #: Listen backlog of the TCP socket.
 BACKLOG = 100
 
-#: Seconds shutdown waits for each connection's thread to finish the
-#: request it is answering.
+#: Seconds shutdown waits for each dedicated connection thread to finish
+#: the request it is answering (the I/O thread has none in flight).
 DRAIN_TIMEOUT = 60.0
+
+#: Bytes asked of one ``recv``.
+RECV_SIZE = 64 * 1024
 
 _NOT_JSON = {
     "ok": False, "op": None,
@@ -505,6 +534,11 @@ _TOO_LONG = {
 }
 _STOPPING = {"ok": True, "op": SHUTDOWN_OP, "result": {"stopping": True}}
 
+#: Built once: ``json.dumps`` with these settings builds an encoder per call.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
+
 
 def _encode(response: dict) -> bytes:
     """One byte-stable JSON line (sorted keys, no whitespace variance).
@@ -513,9 +547,7 @@ def _encode(response: dict) -> bytes:
     with a ``NonFiniteResult`` error envelope rather than invalid JSON.
     """
     try:
-        text = json.dumps(
-            response, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        text = _ENCODER.encode(response)
     except ValueError:
         return _encode({
             "ok": False, "op": response.get("op"),
@@ -524,6 +556,41 @@ def _encode(response: dict) -> bytes:
             "code": "NonFiniteResult",
         })
     return (text + "\n").encode()
+
+
+def _next_line(buffer: bytearray, eof: bool) -> bytes | None:
+    """Cut the next request line off the front of *buffer*.
+
+    Frames like ``readline(LINE_LIMIT + 1)``: a line ends after its
+    newline, after ``LINE_LIMIT + 1`` bytes without one (too long to
+    answer), or, at end of file, with the fragment left over.  ``None``
+    means the line is not complete yet.
+    """
+    end = buffer.find(b"\n", 0, LINE_LIMIT + 1) + 1
+    if not end:
+        if len(buffer) > LINE_LIMIT:
+            end = LINE_LIMIT + 1
+        elif eof and buffer:
+            end = len(buffer)
+        else:
+            return None
+    line = bytes(buffer[:end])
+    del buffer[:end]
+    return line
+
+
+def _parse(line: bytes) -> tuple[object, dict | None]:
+    """``(request, None)``, or ``(None, envelope)`` for a line that the
+    transport answers itself: too long, not JSON, or ``shutdown``."""
+    if len(line) > LINE_LIMIT and not line.endswith(b"\n"):
+        return None, _TOO_LONG
+    try:
+        request = json.loads(line)
+    except (ValueError, RecursionError):  # RecursionError: deep nesting
+        return None, _NOT_JSON
+    if isinstance(request, dict) and request.get("op") == SHUTDOWN_OP:
+        return None, _STOPPING
+    return request, None
 
 
 def _listen(host: str, port: int) -> socket.socket:
@@ -535,101 +602,211 @@ def _listen(host: str, port: int) -> socket.socket:
     return socket.create_server(address, family=family, backlog=BACKLOG)
 
 
-class _FrontEnd:
-    """The accept loop and one thread per accepted connection.
+class _Connection:
+    """A connection the I/O thread serves: its socket and its two buffers."""
 
-    Each connection's thread reads a request line, calls
-    :meth:`StatsServer.handle` itself and writes the answer, so a slow
-    build blocks only its own connection.  The shutdown op sets
+    __slots__ = ("sock", "unread", "unsent", "eof", "closing", "events")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.unread = bytearray()
+        self.unsent = b""
+        self.eof = False
+        self.closing = False
+        self.events = selectors.EVENT_READ
+
+
+class _FrontEnd:
+    """One I/O thread for every connection, until it asks for a build.
+
+    The I/O thread accepts, reads, frames and answers: it calls
+    :meth:`StatsServer.handle` inline, so a read-only request wakes no
+    other thread.  A connection whose next request may run an ANALYZE
+    (:meth:`StatsServer._may_build`) leaves the selector, and a thread of
+    its own answers that request and every later one, so a slow build
+    blocks only its own connection.  The shutdown op sets
     :attr:`stopped`; :meth:`close` then drains the connections.
     """
 
     def __init__(self, server: StatsServer, host: str, port: int):
-        """Bind, listen, and start the accept loop on its own thread."""
+        """Bind, listen, and start the I/O thread."""
         self.server = server
         self.listener = _listen(host, port)
         self.listener.setblocking(False)
         self.stopped = threading.Event()
         self._wake, self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.listener, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
         self._lock = threading.Lock()
         self._threads: dict[socket.socket, threading.Thread] = {}
-        self._accept = threading.Thread(
-            target=self._accept_loop, name="repro-serve-accept", daemon=True
+        self._io = threading.Thread(
+            target=self._io_loop, name="repro-serve-io", daemon=True
         )
-        self._accept.start()
+        self._io.start()
 
-    def _accept_loop(self) -> None:
-        """Accept connections until :meth:`close` wakes the loop."""
-        with selectors.DefaultSelector() as selector:
-            selector.register(self.listener, selectors.EVENT_READ)
-            selector.register(self._wake, selectors.EVENT_READ)
-            while True:
-                ready = [key.fileobj for key, _ in selector.select()]
-                if self._wake in ready:
-                    return
-                try:
-                    conn, _ = self.listener.accept()
-                except OSError:  # the client left before it was accepted
-                    continue
-                conn.setblocking(True)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                thread = threading.Thread(
-                    target=self._serve_connection, args=(conn,),
-                    name="repro-serve-conn", daemon=True,
-                )
-                with self._lock:
-                    self._threads[conn] = thread
-                thread.start()
+    # -- The I/O thread ------------------------------------------------
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        """Answer one client's request lines in order until it leaves."""
+    def _io_loop(self) -> None:
+        """Serve the selector's connections until :attr:`stopped` is set,
+        then close them and the listener (and stop the server, should the
+        loop itself fail)."""
+        selector = self._selector
         try:
-            with conn.makefile("rb") as reader:
-                while not self.stopped.is_set():
-                    line = reader.readline(LINE_LIMIT + 1)
-                    if not line:
+            while not self.stopped.is_set():
+                for key, events in selector.select():
+                    if key.data is not None:
+                        self._service(key.data, events)
+                    elif key.fileobj is self.listener:
+                        self._accept()
+                    if self.stopped.is_set():
                         break
-                    if len(line) > LINE_LIMIT and not line.endswith(b"\n"):
-                        conn.sendall(_encode(_TOO_LONG))
+        finally:
+            self.stopped.set()
+            for key in list(selector.get_map().values()):
+                if key.data is not None:
+                    key.fileobj.close()
+            selector.close()
+            self.listener.close()
+
+    def _accept(self) -> None:
+        """Register every connection waiting in the backlog."""
+        while True:
+            try:
+                sock, _ = self.listener.accept()
+            except BlockingIOError:
+                return
+            except OSError:  # the client left before it was accepted
+                continue
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._selector.register(
+                sock, selectors.EVENT_READ, _Connection(sock)
+            )
+
+    def _service(self, conn: _Connection, events: int) -> None:
+        """Move *conn*'s bytes, then answer what they complete."""
+        try:
+            if events & selectors.EVENT_READ:
+                data = conn.sock.recv(RECV_SIZE)
+                conn.unread += data
+                conn.eof = not data
+            else:
+                self._send(conn)
+            self._pump(conn)
+        except OSError:  # the client vanished
+            self._drop(conn)
+        except Exception as exc:  # a fault ends only this connection
+            threading.excepthook(threading.ExceptHookArgs(
+                [type(exc), exc, exc.__traceback__, threading.current_thread()]
+            ))
+            self._drop(conn)
+
+    def _pump(self, conn: _Connection) -> None:
+        """Answer *conn*'s complete lines in order, one unsent answer at
+        most, then wait for what it needs next: to write, to read, or
+        nothing (closed, or handed to a thread of its own)."""
+        while not (conn.unsent or conn.closing):
+            line = _next_line(conn.unread, conn.eof)
+            if line is None:
+                break
+            request, response = _parse(line)
+            if response is None:
+                if self.server._may_build(request):
+                    self._dedicate(conn, request)
+                    return
+                response = self.server.handle(request)
+            conn.closing = response is _TOO_LONG or response is _STOPPING
+            conn.unsent = _encode(response)
+            self._send(conn)
+            if response is _STOPPING:
+                self.stopped.set()
+        if not conn.unsent and (conn.closing or conn.eof):
+            self._drop(conn)
+            return
+        events = selectors.EVENT_WRITE if conn.unsent else selectors.EVENT_READ
+        if events != conn.events:
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
+
+    @staticmethod
+    def _send(conn: _Connection) -> None:
+        """Write as much of *conn*'s unsent answer as the socket takes."""
+        try:
+            sent = conn.sock.send(conn.unsent)
+        except BlockingIOError:
+            return
+        conn.unsent = conn.unsent[sent:]
+
+    def _drop(self, conn: _Connection) -> None:
+        """Close a connection the I/O thread serves."""
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
+    def _dedicate(self, conn: _Connection, request: object) -> None:
+        """Hand *conn*, its unread bytes and *request* to a new thread."""
+        self._selector.unregister(conn.sock)
+        thread = threading.Thread(
+            target=self._serve_dedicated,
+            args=(conn.sock, conn.unread, request),
+            name="repro-serve-conn", daemon=True,
+        )
+        with self._lock:
+            self._threads[conn.sock] = thread
+        thread.start()
+
+    # -- Dedicated connection threads ------------------------------------
+
+    def _serve_dedicated(
+        self, sock: socket.socket, unread: bytearray, request: object
+    ) -> None:
+        """Answer *request*, then the connection's later lines, blocking,
+        until it leaves or the front end stops."""
+        try:
+            sock.setblocking(True)
+            sock.sendall(_encode(self.server.handle(request)))
+            eof = False
+            while not self.stopped.is_set():
+                line = _next_line(unread, eof)
+                if line is None:
+                    if eof:
                         break
-                    response = self._answer(line)
-                    conn.sendall(_encode(response))
-                    if response is _STOPPING:
-                        self.stopped.set()
-                        break
+                    data = sock.recv(RECV_SIZE)
+                    unread += data
+                    eof = not data
+                    continue
+                request, response = _parse(line)
+                if response is None:
+                    response = self.server.handle(request)
+                sock.sendall(_encode(response))
+                if response is _STOPPING:
+                    self.stopped.set()
+                if response is _TOO_LONG or response is _STOPPING:
+                    break
         except OSError:  # the client vanished mid-request
             pass
         finally:
             with self._lock:
-                del self._threads[conn]
-            conn.close()
-
-    def _answer(self, line: bytes) -> dict:
-        """The response to one request line."""
-        try:
-            request = json.loads(line)
-        except (ValueError, RecursionError):  # RecursionError: deep nesting
-            return _NOT_JSON
-        if isinstance(request, dict) and request.get("op") == SHUTDOWN_OP:
-            return _STOPPING
-        return self.server.handle(request)
+                del self._threads[sock]
+            sock.close()
 
     def close(self) -> None:
         """Stop accepting, end idle connections, await in-flight answers.
 
-        ``shutdown(SHUT_RD)`` wakes a thread waiting for its next request
-        line with end-of-file; a thread inside ``handle`` still writes its
-        answer, then reads no further.
+        The I/O thread stops first: it closes the listener and every
+        connection it serves, none of which has a request in flight.
+        Then ``shutdown(SHUT_RD)`` wakes a dedicated thread waiting for
+        its next request line with end-of-file; one inside ``handle``
+        still writes its answer, then reads no further.
         """
+        self.stopped.set()
         self._waker.send(b"\0")
-        self._accept.join()
-        self.listener.close()
+        self._io.join()
         with self._lock:
-            self.stopped.set()
             threads = list(self._threads.items())
-            for conn, _ in threads:
+            for sock, _ in threads:
                 try:
-                    conn.shutdown(socket.SHUT_RD)
+                    sock.shutdown(socket.SHUT_RD)
                 except OSError:  # the peer already reset the connection
                     pass
         for _, thread in threads:
@@ -646,7 +823,7 @@ def serve_forever(
 ) -> None:
     """Run the TCP front end until a client sends the shutdown op.
 
-    ``port=0`` binds an ephemeral port; once the accept loop runs, the
+    ``port=0`` binds an ephemeral port; once the I/O thread runs, the
     bound address is printed as ``SERVE_READY <host> <port>`` (and written
     to *ready_path*, atomically, when given) so scripts can discover it.
     On shutdown the server stops accepting, lets in-flight requests

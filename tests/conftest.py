@@ -6,6 +6,11 @@ cannot couple through shared RNG state.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -43,3 +48,72 @@ def small_heapfile(distinct_values, rng) -> HeapFile:
     return HeapFile.from_values(
         distinct_values, layout="random", rng=rng, blocking_factor=25
     )
+
+
+#: More threads than the machine has cores, so the scheduler preempts them.
+CONTENDING_THREADS = max((os.cpu_count() or 1) + 2, 6)
+
+
+def _preempting(names):
+    """A trace function that yields the GIL before every bytecode of the
+    functions called *names*: CPython switches threads only at some
+    bytecodes, so ``self.total += 1`` alone never loses an update."""
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            time.sleep(0)
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_name not in names:
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    return tracer
+
+
+@pytest.fixture
+def contended():
+    """Run ``work(index)`` on ``contended.threads`` threads at once.
+
+    The interpreter's switch interval drops to *interval* seconds while
+    they run, so a read-modify-write that no lock guards loses updates;
+    with *preempt*, the named functions also yield between bytecodes.
+    Both are restored afterwards.  Each thread is joined for at most
+    *timeout* seconds, and an exception in one fails the test.
+    """
+
+    def run(work, *, interval=1e-6, preempt=(), timeout=30.0):
+        errors = []
+
+        def guarded(index):
+            try:
+                work(index)
+            except BaseException as exc:  # re-raised in the test's thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=guarded, args=(index,), daemon=True)
+            for index in range(CONTENDING_THREADS)
+        ]
+        previous, hook = sys.getswitchinterval(), threading.gettrace()
+        sys.setswitchinterval(interval)
+        if preempt:
+            threading.settrace(_preempting(preempt))
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            threading.settrace(hook)
+        try:
+            for thread in threads:
+                thread.join(timeout)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+
+    run.threads = CONTENDING_THREADS
+    return run

@@ -9,6 +9,7 @@ import pytest
 
 from repro.durability import CatalogStore, catalog_crash_matrix
 from repro.durability.chaos import _state_fingerprint
+from repro.durability.journal import read_records
 from repro.engine import StatisticsManager, Table
 from repro.engine.serialization import statistics_to_dict
 from repro.exceptions import SimulatedCrashError
@@ -150,3 +151,18 @@ class TestCrashMatrix:
         assert "torn_journal" in kinds
         assert "torn_snapshot" in kinds
         assert "corrupt_journal" in kinds
+
+
+class TestConcurrentPuts:
+    def test_journal_order_is_sequence_and_version_order(
+        self, tmp_path, bundles, contended
+    ):
+        store = CatalogStore(tmp_path)
+        contended(lambda _: [store.put(bundles[0]) for _ in range(100)])
+        puts = contended.threads * 100
+        records, _, tail = read_records(tmp_path / CatalogStore.JOURNAL_NAME)
+        assert tail is None
+        assert [r["seq"] for r in records] == list(range(1, puts + 1))
+        assert [r["version"] for r in records] == list(range(1, puts + 1))
+        reopened = CatalogStore(tmp_path)
+        assert reopened.catalog.version("t", "c0") == puts

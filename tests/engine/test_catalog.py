@@ -54,3 +54,19 @@ class TestCatalog:
         b.column_name = "a"
         catalog.put(b)
         assert catalog.keys() == [("t", "a"), ("t", "b")]
+
+
+class TestConcurrentPuts:
+    def test_every_put_gets_its_own_version(self, contended):
+        catalog = Catalog()
+        stats = build_stats()
+        versions = [[] for _ in range(contended.threads)]
+
+        def putter(index):
+            versions[index] = [catalog.put(stats) for _ in range(20_000)]
+
+        contended(putter)
+        puts = contended.threads * 20_000
+        issued = sorted(v for per_thread in versions for v in per_thread)
+        assert issued == list(range(1, puts + 1))
+        assert catalog.version("t", "x") == puts

@@ -35,6 +35,13 @@ class TestModificationCounter:
         with pytest.raises(ParameterError):
             ModificationCounter().record("t", "x", -1)
 
+    def test_concurrent_records_all_count(self, contended):
+        counter = ModificationCounter()
+        contended(
+            lambda _: [counter.record("t", "x", 1) for _ in range(20_000)]
+        )
+        assert counter.since_refresh("t", "x") == contended.threads * 20_000
+
 
 class TestRefreshPolicy:
     def test_default_threshold(self):
@@ -170,3 +177,33 @@ class TestSingleFlightRefresh:
         lock_b = auto._flight_lock("t", "y")
         assert lock_a is not lock_b
         assert auto._flight_lock("t", "x") is lock_a
+
+
+class TestConcurrentTallies:
+    """Refreshes of different columns run under different flight locks,
+    so the refresh and degraded tallies need their own lock."""
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_every_refresh_is_counted(self, contended, monkeypatch, ok):
+        from repro.engine import maintenance
+
+        table = Table("t", {
+            f"c{i}": np.arange(1_000) for i in range(contended.threads)
+        })
+        auto = AutoStatistics(policy=RefreshPolicy(floor_rows=1))
+        for name in table.column_names:
+            auto.analyze(table, name, k=4, f=0.3, rng=0)
+        monkeypatch.setattr(
+            maintenance, "build_or_fallback",
+            lambda manager, table, column, fallback, **_: (fallback, ok),
+        )
+
+        def refresher(index):
+            name = f"c{index}"
+            for _ in range(100):
+                auto.record_modifications("t", name, 1_000)
+                auto.ensure_fresh(table, name)
+
+        contended(refresher, preempt=("_refresh_locked",))
+        counted = auto.refresh_count if ok else auto.degraded_count
+        assert counted == contended.threads * 100

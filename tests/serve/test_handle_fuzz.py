@@ -2,7 +2,9 @@
 
 Whatever a client sends, ``handle`` returns ``{"ok": <bool>, ...}`` and
 never raises, and the envelope encodes as strict JSON (no ``NaN`` or
-``Infinity`` can leave in an ``ok: true`` answer).  One strategy throws
+``Infinity`` can leave in an ``ok: true`` answer).  The TCP front end's
+build predicate, which reads the request before ``handle`` validates
+it, returns a bool and never raises either.  One strategy throws
 arbitrary JSON values at it; the other names a real op, table and column
 so that arbitrary field values reach the endpoint code behind the
 validator.  Derandomized, so every run tries the same inputs.
@@ -80,10 +82,12 @@ def _assert_envelope(response):
 @FUZZ
 @given(value=JSON_VALUES)
 def test_any_json_value_gets_an_envelope(server, value):
+    assert server._may_build(value) in (True, False)
     _assert_envelope(server.handle(value))
 
 
 @FUZZ
 @given(payload=endpoint_requests())
 def test_any_field_value_gets_an_envelope(server, payload):
+    assert server._may_build(payload) in (True, False)
     _assert_envelope(server.handle(payload))

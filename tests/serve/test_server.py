@@ -606,6 +606,219 @@ class TestConnectionThreads:
 
 
 # ----------------------------------------------------------------------
+# The I/O thread answers read-only clients; a client whose request may
+# build moves to a thread of its own.  Every wait is bounded by a socket
+# timeout or a join.
+# ----------------------------------------------------------------------
+
+
+def _mixed_server(clients):
+    """A server over one table per client, every column but the
+    ``analyze`` client's built before serving."""
+    server = StatsServer(
+        {
+            name: Table(name, {"x": np.arange(2_000) * (i + 1)})
+            for i, name in enumerate(clients)
+        },
+        seed=11,
+        policy=RefreshPolicy(fraction=0.2, floor_rows=100),
+        build_params={"k": 8, "f": 0.3},
+    )
+    for name in clients:
+        if name != "analyze":
+            _ok(server.handle({"op": "analyze", "table": name, "column": "x"}))
+    return server
+
+
+def _estimates(table, count):
+    """*count* read-only requests on *table*, cycling the estimate ops."""
+    column = {"table": table, "column": "x"}
+    cycle = [
+        lambda i: {"op": "estimate_range", "lo": i, "hi": 7 * i + 50},
+        lambda i: {"op": "estimate_quantile", "q": (i % 97) / 97},
+        lambda i: {"op": "estimate_equality", "value": i},
+        lambda i: {"op": "estimate_distinct"},
+    ]
+    return [{**cycle[i % 4](i), **column} for i in range(count)]
+
+
+def _drive(host, port, requests, per_write):
+    """Send *requests* over one connection, *per_write* lines per write,
+    reading each write's answers before the next; return the answers."""
+    sock, stream = _connect(host, port)
+    answers = []
+    with sock:
+        for start in range(0, len(requests), per_write):
+            group = requests[start : start + per_write]
+            sock.sendall(
+                b"".join((json.dumps(r) + "\n").encode() for r in group)
+            )
+            answers += [json.loads(stream.readline()) for _ in group]
+    return answers
+
+
+class TestIoThread:
+    def test_mixed_clients_under_contention(
+        self, tmp_path, monkeypatch, contended
+    ):
+        """More clients than cores, each on its own table: answers come in
+        order and equal ``handle``'s; the I/O thread answers every
+        read-only client, each building client gets a thread of its own,
+        and shutdown leaves none running."""
+        readers = [f"reader{i}" for i in range(contended.threads - 3)]
+        clients = {name: (_estimates(name, 120), 1) for name in readers}
+        modify = {"op": "modify", "table": "modify", "column": "x",
+                  "rows": 150}  # stale after three, with 2,000 rows
+        clients["modify"] = ([
+            request
+            for probe in _estimates("modify", 8)
+            for request in (modify, probe)
+        ], 1)
+        clients["analyze"] = ([
+            {"op": "analyze", "table": "analyze", "column": "x"},
+            *_estimates("analyze", 30),
+            {"op": "analyze", "table": "analyze", "column": "x",
+             "params": {"k": 4}},
+            *_estimates("analyze", 10),
+        ], 1)
+        clients["pipeline"] = (_estimates("pipeline", 120), 5)
+        names = list(clients)
+        reference = _mixed_server(names)
+        expected = {
+            name: [
+                json.loads(server_module._encode(reference.handle(r)))
+                for r in requests
+            ]
+            for name, (requests, _) in clients.items()
+        }
+
+        server = _mixed_server(names)
+        answered_on, lock = {name: [] for name in names}, threading.Lock()
+        handle = server.handle
+
+        def recording(request):
+            with lock:
+                answered_on[request["table"]].append(
+                    threading.current_thread()
+                )
+            return handle(request)
+
+        server.handle = recording
+        thread, host, port = _serve_in_thread(server, tmp_path, monkeypatch)
+        answers = {}
+
+        def client(index):
+            name = names[index]
+            answers[name] = _drive(host, port, *clients[name])
+
+        contended(client, interval=1e-5)
+        _shutdown(host, port)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+        assert answers == expected
+        [io] = {t for name in readers + ["pipeline"] for t in answered_on[name]}
+        assert io.name == "repro-serve-io"
+        [analyzing] = set(answered_on["analyze"])
+        modifying = answered_on["modify"]
+        moved = next(i for i, t in enumerate(modifying) if t is not io)
+        assert moved > 0 and set(modifying[:moved]) == {io}
+        [refreshing] = set(modifying[moved:])
+        assert len({io, analyzing, refreshing}) == 3
+        everyone = [t for threads in answered_on.values() for t in threads]
+        assert not any(t.is_alive() for t in everyone)
+
+    def test_lines_pipelined_behind_a_build_keep_their_order(
+        self, front_end
+    ):
+        """The thread a connection moves to takes the bytes the I/O
+        thread read but did not answer."""
+        _, host, port = front_end
+        lines = [
+            PING,
+            b'{"op": "analyze", "table": "t", "column": "x"}',
+            PING,
+            b'{"op": "estimate_distinct", "table": "t", "column": "x"}',
+            b"not json",
+        ]
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(b"\n".join(lines) + b"\n")
+            sock.shutdown(socket.SHUT_WR)
+            answers = _read_answers(sock)
+        assert [(a["ok"], a["op"]) for a in answers] == [
+            (True, "ping"), (True, "analyze"), (True, "ping"),
+            (True, "estimate_distinct"), (False, None),
+        ]
+
+    def test_fault_answering_one_client_ends_only_its_connection(
+        self, front_end, monkeypatch
+    ):
+        server, host, port = front_end
+        handle = server.handle
+
+        def faulty(request):
+            if request.get("op") == "status":
+                raise RuntimeError("injected")
+            return handle(request)
+
+        monkeypatch.setattr(server, "handle", faulty)
+        reported, hook = [], threading.excepthook
+        threading.excepthook = reported.append
+        try:
+            sock, stream = _connect(host, port)
+            with sock:
+                _send(stream, {"op": "status"})
+                assert stream.readline() == b""
+        finally:
+            threading.excepthook = hook
+        [args] = reported
+        assert str(args.exc_value) == "injected"
+        sock, stream = _connect(host, port)
+        with sock:
+            assert _ok(_roundtrip(stream, {"op": "ping"})) == {"pong": True}
+
+    def test_client_that_never_reads_stalls_only_itself(self, front_end):
+        """About 1 MB of requests whose answers outgrow the socket buffers
+        (pings, and numbered unknown ops whose error envelopes mark the
+        order): another client is still answered, and the flood's
+        answers all arrive, in order, once it reads."""
+        server, host, port = front_end
+        pong = json.loads(server_module._encode(server.handle({"op": "ping"})))
+        lines, expected = [], []
+        for i in range(16_000):
+            marker = {"op": f"ping {i}"}
+            lines += [json.dumps(marker).encode()] + [PING] * 3
+            expected += [
+                json.loads(server_module._encode(server.handle(marker)))
+            ] + [pong] * 3
+        payload = b"\n".join(lines) + b"\n"
+        assert len(payload) > 1_000_000
+
+        slow = socket.create_connection((host, port), timeout=10.0)
+        with slow:
+            writer = threading.Thread(
+                target=slow.sendall, args=(payload,), daemon=True
+            )
+            writer.start()
+            sock, stream = _connect(host, port)
+            with sock:
+                # Poll until the server holds the flood's answers back:
+                # its count of answered pings stops moving.
+                pings = [-2, -1]
+                while pings[-1] != pings[-2] and len(pings) < 1_000:
+                    status = _ok(_roundtrip(stream, {"op": "status"}))
+                    pings.append(status["requests"].get("ping", 0))
+                assert _ok(_roundtrip(stream, {"op": "ping"})) == {
+                    "pong": True
+                }
+            reader = slow.makefile("rb")
+            answers = [json.loads(reader.readline()) for _ in expected]
+            writer.join(10.0)
+            assert not writer.is_alive()
+        assert answers == expected
+
+
+# ----------------------------------------------------------------------
 # What goes over the wire: strict JSON, one envelope per request line.
 # ----------------------------------------------------------------------
 
