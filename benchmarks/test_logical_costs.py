@@ -4,8 +4,8 @@ The paper's claim is a cost claim: Theorem 4's sample size and CVB's
 f·s/k stopping rule (Theorem 7) buy bounded histogram error for a small,
 predictable number of page reads.  Each scenario below drives one hot path
 of that cost story from above — record and block sampling, the CVB build,
-histogram merging, GEE, selectivity lookup, the trial pool at 1/2/4
-workers, the kernels, the durable catalog, serving and live telemetry.
+GEE, selectivity lookup, the trial pool at 1/2/4 workers, the kernels, the
+durable catalog, serving and live telemetry.
 
 A scenario builds its inputs, then runs its kernel exactly once under a
 fresh metrics registry, with the heap file's ``IOStats`` delta captured
@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro._rng import spawn_seeds
-from repro.core import adaptive, kernels, merge
+from repro.core import adaptive, kernels
 from repro.core.histogram import EquiHeightHistogram
 from repro.distinct.estimators import GEEEstimator
 from repro.distinct.frequency import FrequencyProfile
@@ -278,18 +278,6 @@ def cvb_build(tmp_path) -> dict:
         }
 
     return _logical(run, heapfile)
-
-
-def merge_equi_height(tmp_path) -> dict:
-    """DESIGN.md partitioned ANALYZE: ``merge_equi_height`` of two
-    partition histograms over disjoint halves of the column."""
-    values, _ = table()
-    half = values.size // 2
-    left = EquiHeightHistogram.from_values(values[:half], K)
-    right = EquiHeightHistogram.from_values(values[half:], K)
-    return _logical(
-        lambda: _histogram_result(merge.merge_equi_height(left, right, K))
-    )
 
 
 def distinct_gee(tmp_path) -> dict:
@@ -676,7 +664,6 @@ SCENARIOS = (
     record_sampling,
     block_sampling,
     cvb_build,
-    merge_equi_height,
     distinct_gee,
     selectivity_lookup,
     trialpool_w1,

@@ -50,10 +50,12 @@ These subcommands expose the library to shell users:
 
 ``serve``
     Statistics-as-a-service (:mod:`repro.serve`): run the JSON-lines
-    TCP server (one thread per connection) over synthetic tables (``--table
-    NAME=DATASET:N``, repeatable), or drive the deterministic closed-loop
-    load generator against an in-process server (``--loadgen``) or a
-    running one (``--connect HOST:PORT``).  The loadgen's logical summary
+    TCP server over synthetic tables (``--table NAME=DATASET:N``,
+    repeatable; one I/O thread answers read-only requests, and a
+    connection moves to a thread of its own at its first request that may
+    build), or drive the deterministic closed-loop load generator against
+    an in-process server (``--loadgen``) or a running one (``--connect
+    HOST:PORT``).  The loadgen's logical summary
     (``--out``) is bit-identical across runs and ``--clients`` counts;
     wall latencies (p50/p99) go to stdout / ``--wall-out``.  ``--store
     DIR`` persists the catalog crash-safely and warm-starts from it.

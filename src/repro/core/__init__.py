@@ -6,7 +6,6 @@ from .adaptive import CVBConfig, CVBIteration, CVBResult, CVBSampler, cvb_build
 from .compressed import CompressedHistogram, SingletonBucket
 from .equiwidth import EquiWidthHistogram
 from .maxdiff import MaxDiffBucket, MaxDiffHistogram
-from .merge import merge_equi_height
 from .serialization import (
     fit_to_page,
     histogram_from_dict,
@@ -43,7 +42,6 @@ __all__ = [
     "EquiWidthHistogram",
     "MaxDiffBucket",
     "MaxDiffHistogram",
-    "merge_equi_height",
     "fit_to_page",
     "histogram_from_dict",
     "histogram_from_json",

@@ -14,6 +14,7 @@ that change the summarised data (``recount``) return new instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,17 @@ def _check_finite(values: np.ndarray) -> None:
             "values contain NaN or infinity; clean the column before "
             "building statistics"
         )
+
+
+def _whole_counts(counts, name: str) -> np.ndarray:
+    """*counts* as int64, rejecting the fractional or non-finite values that
+    an int64 cast would silently truncate or wrap."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind == "f" and not (
+        np.isfinite(counts) & (counts == np.trunc(counts))
+    ).all():
+        raise ParameterError(f"{name} must be whole numbers")
+    return np.asarray(counts, dtype=np.int64)
 
 
 def equi_height_separators(sorted_values: np.ndarray, k: int) -> np.ndarray:
@@ -112,7 +124,7 @@ class EquiHeightHistogram:
         eq_counts: np.ndarray | None = None,
     ):
         separators = np.asarray(separators, dtype=np.float64)
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = _whole_counts(counts, "bucket counts")
         if separators.ndim != 1 or counts.ndim != 1:
             raise ParameterError("separators and counts must be one-dimensional")
         if counts.size != separators.size + 1:
@@ -120,10 +132,21 @@ class EquiHeightHistogram:
                 f"{counts.size} counts do not match {separators.size} separators "
                 f"(need k = separators + 1)"
             )
-        if separators.size and (np.diff(separators) < 0).any():
-            raise ParameterError("separators must be non-decreasing")
+        # Phrased so that a NaN, which compares false both ways, fails it
+        # too instead of making every range estimate silently wrong.
+        if separators.size and not (
+            -np.inf < separators[0]
+            and separators[-1] < np.inf
+            and (np.diff(separators) >= 0).all()
+        ):
+            raise ParameterError("separators must be finite and non-decreasing")
         if (counts < 0).any():
             raise ParameterError("bucket counts must be non-negative")
+        min_value, max_value = float(min_value), float(max_value)
+        if not (math.isfinite(min_value) and math.isfinite(max_value)):
+            raise ParameterError(
+                f"min_value {min_value} and max_value {max_value} must be finite"
+            )
         if min_value > max_value:
             raise ParameterError(
                 f"min_value {min_value} exceeds max_value {max_value}"
@@ -131,7 +154,7 @@ class EquiHeightHistogram:
         if eq_counts is None:
             eq_counts = np.zeros(separators.size, dtype=np.int64)
         else:
-            eq_counts = np.asarray(eq_counts, dtype=np.int64)
+            eq_counts = _whole_counts(eq_counts, "eq_counts")
             if eq_counts.shape != separators.shape:
                 raise ParameterError(
                     f"eq_counts shape {eq_counts.shape} does not match "
@@ -145,8 +168,8 @@ class EquiHeightHistogram:
         self._counts.setflags(write=False)
         self._eq_counts = eq_counts
         self._eq_counts.setflags(write=False)
-        self._min = float(min_value)
-        self._max = float(max_value)
+        self._min = min_value
+        self._max = max_value
 
     # ------------------------------------------------------------------
     # Construction

@@ -15,6 +15,8 @@ columns (Section 7.1, implementation note 5).  This module provides:
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -76,6 +78,53 @@ def fit_to_page(
 # Dict round-trips
 # ----------------------------------------------------------------------
 
+#: How :func:`checked_field` names each kind it accepts in its errors.
+_KIND_NAMES = {
+    numbers.Real: "a number",
+    numbers.Integral: "an integer",
+    str: "a string",
+    bool: "true or false",
+    dict: "an object",
+}
+
+
+def checked_field(payload: dict, name: str, kind: type):
+    """``payload[name]``, rejected with :class:`ParameterError` unless it
+    is a *kind* (``numbers.Real``, ``numbers.Integral``, ``str``, ``bool``
+    or ``dict``).
+
+    A bool is never a number here, and a real number must be finite: the
+    ``from_dict`` readers take saved statistics from outside the program,
+    and a wrong-typed or NaN field would otherwise be coerced into a
+    silently wrong answer.
+    """
+    if not isinstance(payload, dict) or name not in payload:
+        raise ParameterError(f"serialised field {name!r} is missing")
+    value = payload[name]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ParameterError(
+            f"serialised field {name!r} must be {_KIND_NAMES[kind]}, "
+            f"got {value!r}"
+        )
+    if kind is numbers.Real and not math.isfinite(value):
+        raise ParameterError(f"serialised field {name!r} must be finite")
+    return value
+
+
+def _numbers(payload: dict, name: str) -> np.ndarray:
+    """``payload[name]``, which must be a flat list of numbers, as an array."""
+    values = payload.get(name)
+    try:
+        array = np.asarray(values) if isinstance(values, list) else None
+    except ValueError:  # a ragged nested list
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise ParameterError(
+            f"serialised field {name!r} must be a list of numbers"
+        )
+    return array
+
+
 def histogram_to_dict(histogram) -> dict:
     """Serialise any supported histogram to a JSON-safe dict."""
     if isinstance(histogram, EquiHeightHistogram):
@@ -119,29 +168,31 @@ def histogram_from_dict(payload: dict):
     kind = payload["type"]
     if kind == "equi_height":
         return EquiHeightHistogram(
-            np.asarray(payload["separators"], dtype=np.float64),
-            np.asarray(payload["counts"], dtype=np.int64),
-            float(payload["min_value"]),
-            float(payload["max_value"]),
-            eq_counts=np.asarray(payload["eq_counts"], dtype=np.int64),
+            _numbers(payload, "separators"),
+            _numbers(payload, "counts"),
+            checked_field(payload, "min_value", numbers.Real),
+            checked_field(payload, "max_value", numbers.Real),
+            eq_counts=_numbers(payload, "eq_counts"),
         )
     if kind == "equi_width":
         return EquiWidthHistogram(
-            np.asarray(payload["edges"], dtype=np.float64),
-            np.asarray(payload["counts"], dtype=np.int64),
+            _numbers(payload, "edges"), _numbers(payload, "counts")
         )
     if kind == "compressed":
-        singletons = [
-            SingletonBucket(float(s["value"]), int(s["count"]))
-            for s in payload["singletons"]
-        ]
-        remainder = (
-            histogram_from_dict(payload["remainder"])
-            if payload["remainder"] is not None
-            else None
-        )
+        singletons = payload.get("singletons")
+        if not isinstance(singletons, list):
+            raise ParameterError("serialised field 'singletons' must be a list")
+        remainder = payload.get("remainder")
         return CompressedHistogram(
-            singletons, remainder, total=int(payload["total"])
+            [
+                SingletonBucket(
+                    float(checked_field(s, "value", numbers.Real)),
+                    int(checked_field(s, "count", numbers.Integral)),
+                )
+                for s in singletons
+            ],
+            histogram_from_dict(remainder) if remainder is not None else None,
+            total=int(checked_field(payload, "total", numbers.Integral)),
         )
     raise ParameterError(f"unknown serialised histogram type {kind!r}")
 

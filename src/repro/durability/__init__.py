@@ -16,8 +16,6 @@ process.  This package is the recovery backbone:
 - :mod:`repro.durability.runjournal` — :class:`RunCheckpoint`, chunk-level
   checkpointing for :class:`repro.experiments.parallel.TrialPool` maps so
   killed sweeps resume bit-identically.
-- :mod:`repro.durability.chaos` — the crash matrix exercising every
-  injected crash point of the catalog store end-to-end.
 
 Crash injection is deterministic: durable writes consult
 :class:`repro.storage.faults.WriteFaultPolicy`, which tears or corrupts
@@ -28,7 +26,6 @@ process death would interrupt the protocol.
 
 from .atomic import atomic_write_bytes, atomic_write_json, atomic_write_text
 from .catalog_store import CatalogStore
-from .chaos import CrashOutcome, catalog_crash_matrix
 from .journal import append_record, read_records
 from .runjournal import RunCheckpoint
 
@@ -40,6 +37,4 @@ __all__ = [
     "read_records",
     "CatalogStore",
     "RunCheckpoint",
-    "CrashOutcome",
-    "catalog_crash_matrix",
 ]

@@ -3,9 +3,9 @@
 :class:`CatalogStore` persists a :class:`repro.engine.catalog.Catalog` in
 a directory holding two files:
 
-- ``catalog.snapshot.json`` — the full catalog (entries *and* per-key
-  versions, which :func:`repro.engine.serialization.dump_catalog` alone
-  does not carry), written atomically via
+- ``catalog.snapshot.json`` — the full catalog: each entry's
+  :func:`repro.engine.serialization.statistics_to_dict` form with its
+  per-key version, written atomically via
   :func:`repro.durability.atomic.atomic_write_json`.
 - ``catalog.journal`` — CRC-framed put/drop records
   (:mod:`repro.durability.journal`) appended on every mutation.

@@ -13,8 +13,6 @@ from .density import (
     selfjoin_density_from_sample,
 )
 from .serialization import (
-    dump_catalog,
-    load_catalog,
     statistics_from_dict,
     statistics_from_json,
     statistics_to_dict,
@@ -44,8 +42,6 @@ __all__ = [
     "density_from_estimate",
     "selfjoin_density",
     "selfjoin_density_from_sample",
-    "dump_catalog",
-    "load_catalog",
     "statistics_from_dict",
     "statistics_from_json",
     "statistics_to_dict",

@@ -160,8 +160,9 @@ class AutoStatistics:
         observe the same stale statistics serialise on a per-column lock and
         re-check staleness after acquiring it, so exactly one of them runs
         the rebuild while the rest return the freshly built bundle.  Without
-        this, the async server's first burst of queries after a modification
-        wave would pile duplicate ANALYZE scans onto the same column.
+        this, the server's first burst of queries after a modification wave,
+        one per dedicated connection thread, would pile duplicate ANALYZE
+        scans onto the same column.
         """
         with _trace.span(
             "autostats.ensure_fresh", table=table.name, column=column_name

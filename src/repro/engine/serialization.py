@@ -1,4 +1,4 @@
-"""Catalog persistence: (de)serialising ColumnStatistics bundles.
+"""Statistics persistence: (de)serialising ColumnStatistics bundles.
 
 Statistics are only useful if the optimizer can read them later (and on
 another node): this module round-trips the full
@@ -6,17 +6,24 @@ another node): this module round-trips the full
 (via :mod:`repro.core.serialization`), densities, distinct estimate, build
 provenance — through JSON-safe dicts.  The raw sample and CVB trace are
 deliberately *not* persisted: real catalogs store the derived statistics,
-not the sample (SQL Server's stats blob works the same way).
+not the sample (SQL Server's stats blob works the same way).  A whole
+catalog, with its per-key versions, persists through
+:class:`~repro.durability.CatalogStore`, which writes these dicts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 
-from ..core.serialization import histogram_from_dict, histogram_to_dict
+from ..core.histogram import EquiHeightHistogram
+from ..core.serialization import (
+    checked_field,
+    histogram_from_dict,
+    histogram_to_dict,
+)
 from ..exceptions import ParameterError
-from .catalog import Catalog
 from .statistics import ColumnStatistics
 
 __all__ = [
@@ -24,11 +31,30 @@ __all__ = [
     "statistics_from_dict",
     "statistics_to_json",
     "statistics_from_json",
-    "dump_catalog",
-    "load_catalog",
 ]
 
 _FORMAT_VERSION = 1
+
+#: Each serialised field besides the histogram: the type it must have,
+#: and the conversion that hands the bundle plain Python values.
+_FIELDS = {
+    "table_name": (str, str),
+    "column_name": (str, str),
+    "n": (numbers.Integral, int),
+    "density": (numbers.Real, float),
+    "selfjoin_density": (numbers.Real, float),
+    "distinct_estimate": (numbers.Real, float),
+    "method": (str, str),
+    "sample_size": (numbers.Integral, int),
+    "pages_read": (numbers.Integral, int),
+    "converged": (bool, bool),
+    "degraded": (bool, bool),
+    "io": (dict, dict),
+    "build_params": (dict, dict),
+}
+
+#: Fields that bundles written before they existed may leave out.
+_FIELD_DEFAULTS = {"degraded": False, "io": {}, "build_params": {}}
 
 
 def _jsonable_params(params: dict) -> dict:
@@ -67,7 +93,11 @@ def statistics_to_dict(statistics: ColumnStatistics) -> dict:
 
 
 def statistics_from_dict(payload: dict) -> ColumnStatistics:
-    """Rebuild a bundle serialised by :func:`statistics_to_dict`."""
+    """Rebuild a bundle serialised by :func:`statistics_to_dict`.
+
+    A missing, wrong-typed, non-finite or fractional field raises
+    :class:`~repro.exceptions.ParameterError`.
+    """
     if not isinstance(payload, dict):
         raise ParameterError("payload is not a serialised statistics bundle")
     version = payload.get("format_version")
@@ -76,25 +106,18 @@ def statistics_from_dict(payload: dict) -> ColumnStatistics:
             f"unsupported statistics format version {version!r} "
             f"(expected {_FORMAT_VERSION})"
         )
-    try:
-        return ColumnStatistics(
-            table_name=payload["table_name"],
-            column_name=payload["column_name"],
-            n=int(payload["n"]),
-            histogram=histogram_from_dict(payload["histogram"]),
-            density=float(payload["density"]),
-            selfjoin_density=float(payload["selfjoin_density"]),
-            distinct_estimate=float(payload["distinct_estimate"]),
-            method=payload["method"],
-            sample_size=int(payload["sample_size"]),
-            pages_read=int(payload["pages_read"]),
-            converged=bool(payload["converged"]),
-            degraded=bool(payload.get("degraded", False)),
-            io=dict(payload.get("io", {})),
-            build_params=dict(payload.get("build_params", {})),
+    fields = {**_FIELD_DEFAULTS, **payload}
+    values = {
+        name: convert(checked_field(fields, name, kind))
+        for name, (kind, convert) in _FIELDS.items()
+    }
+    histogram = histogram_from_dict(payload.get("histogram"))
+    if not isinstance(histogram, EquiHeightHistogram):
+        raise ParameterError(
+            "a statistics bundle's histogram must be equi-height, got "
+            f"{type(histogram).__name__}"
         )
-    except KeyError as exc:
-        raise ParameterError(f"statistics payload missing field {exc}") from exc
+    return ColumnStatistics(histogram=histogram, **values)
 
 
 def statistics_to_json(statistics: ColumnStatistics) -> str:
@@ -109,26 +132,3 @@ def statistics_from_json(text: str) -> ColumnStatistics:
     except json.JSONDecodeError as exc:
         raise ParameterError(f"invalid statistics JSON: {exc}") from exc
     return statistics_from_dict(payload)
-
-
-def dump_catalog(catalog: Catalog) -> str:
-    """Serialise every bundle in *catalog* to one JSON document."""
-    entries = [
-        statistics_to_dict(catalog.get(table, column))
-        for table, column in catalog.keys()
-    ]
-    return json.dumps({"format_version": _FORMAT_VERSION, "entries": entries})
-
-
-def load_catalog(text: str) -> Catalog:
-    """Rebuild a catalog serialised by :func:`dump_catalog`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"invalid catalog JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "entries" not in payload:
-        raise ParameterError("payload is not a serialised catalog")
-    catalog = Catalog()
-    for entry in payload["entries"]:
-        catalog.put(statistics_from_dict(entry))
-    return catalog

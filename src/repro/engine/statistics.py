@@ -37,7 +37,7 @@ from ..storage.faults import (
     FaultyHeapFile,
     ReadBudget,
     RetryPolicy,
-    resilient_scan,
+    read_pages_resilient,
 )
 from ..storage.heapfile import HeapFile
 from ..workloads.queries import RangeQuery
@@ -219,6 +219,9 @@ class StatisticsManager:
             f=f,
         ) as analyze_span:
             cvb_result: CVBResult | None = None
+            tracker = (
+                read_budget.tracker(heapfile.num_pages) if read_budget else None
+            )
             if method == "cvb":
                 config = CVBConfig(k=k, f=f, gamma=gamma, **cvb_kwargs)
                 cvb_result = CVBSampler(
@@ -233,11 +236,6 @@ class StatisticsManager:
                     record_sample_size = min(
                         n, bounds.corollary1_sample_size(n, k, f, gamma)
                     )
-                tracker = (
-                    read_budget.tracker(heapfile.num_pages)
-                    if read_budget
-                    else None
-                )
                 sample = np.sort(
                     sample_records_from_file(
                         heapfile,
@@ -255,14 +253,11 @@ class StatisticsManager:
                 pages_read = heapfile.iostats.page_reads
                 converged = True
             else:  # fullscan
-                if retry is not None or read_budget is not None:
-                    tracker = (
-                        read_budget.tracker(heapfile.num_pages)
-                        if read_budget
-                        else None
-                    )
+                if retry is not None or tracker is not None:
                     sample = np.sort(
-                        resilient_scan(heapfile, retry=retry, budget=tracker)
+                        read_pages_resilient(
+                            heapfile, range(heapfile.num_pages), retry, tracker
+                        )[0]
                     )
                     if sample.size == 0:
                         raise BuildAbortedError(

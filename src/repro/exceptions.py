@@ -16,7 +16,6 @@ __all__ = [
     "InfeasibleBoundError",
     "BuildAbortedError",
     "StorageError",
-    "PageFullError",
     "UnknownLayoutError",
     "TransientIOError",
     "PageCorruptionError",
@@ -76,10 +75,6 @@ class BuildAbortedError(ReproError):
 
 class StorageError(ReproError):
     """Base class for errors in the storage simulator."""
-
-
-class PageFullError(StorageError):
-    """A record was appended to a page that has no free slot."""
 
 
 class UnknownLayoutError(StorageError, ValueError):

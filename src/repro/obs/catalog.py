@@ -97,7 +97,7 @@ _SPECS = [
         "(mode=with_replacement|without_replacement).",
     ),
     # ------------------------------------------------------------------
-    # core — the CVB build and histogram merging
+    # core — the CVB build
     # ------------------------------------------------------------------
     MetricSpec(
         "repro_cvb_builds_total", COUNTER, ("outcome",),
@@ -119,10 +119,6 @@ _SPECS = [
     MetricSpec(
         "repro_cvb_tuples_sampled", HISTOGRAM, (),
         "Tuples accumulated per completed CVB build.",
-    ),
-    MetricSpec(
-        "repro_histogram_merges_total", COUNTER, (),
-        "merge_equi_height invocations (partition-histogram merging).",
     ),
     # ------------------------------------------------------------------
     # engine — ANALYZE and auto-refresh
@@ -259,7 +255,6 @@ SPANS: dict[str, str] = {
     "cvb.build": "One full CVB adaptive-sampling run.",
     "cvb.iteration": "One CVB cross-validation round (sample, validate, "
                      "merge).",
-    "core.merge_equi_height": "One partition-histogram merge.",
     "pool.map": "One TrialPool.map fan-out (serial or process).",
     "chaos.sweep": "One chaos_sweep fault-rate sweep.",
     "durability.checkpoint": "One catalog checkpoint (atomic snapshot "

@@ -53,8 +53,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "MetricsRegistry",
     "collecting",
-    "enable",
-    "disable",
     "active_registry",
     "enabled",
     "inc",
@@ -254,19 +252,6 @@ def enabled() -> bool:
 def active_registry() -> MetricsRegistry | None:
     """The currently collecting registry, or ``None``."""
     return _ACTIVE
-
-
-def enable(registry: MetricsRegistry | None = None) -> MetricsRegistry:
-    """Start routing emissions to *registry* (a fresh one by default)."""
-    global _ACTIVE
-    _ACTIVE = registry if registry is not None else MetricsRegistry()
-    return _ACTIVE
-
-
-def disable() -> None:
-    """Stop collecting: emissions become no-ops again."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 @contextmanager

@@ -50,8 +50,6 @@ __all__ = [
     "TraceRecorder",
     "span",
     "tracing",
-    "start_tracing",
-    "stop_tracing",
     "active_recorder",
 ]
 
@@ -256,19 +254,6 @@ _RECORDER: TraceRecorder | None = None
 def active_recorder() -> TraceRecorder | None:
     """The currently recording :class:`TraceRecorder`, or ``None``."""
     return _RECORDER
-
-
-def start_tracing(recorder: TraceRecorder | None = None) -> TraceRecorder:
-    """Start routing spans to *recorder* (a fresh one by default)."""
-    global _RECORDER
-    _RECORDER = recorder if recorder is not None else TraceRecorder()
-    return _RECORDER
-
-
-def stop_tracing() -> None:
-    """Stop recording: :func:`span` becomes a no-op again."""
-    global _RECORDER
-    _RECORDER = None
 
 
 @contextmanager

@@ -48,9 +48,9 @@ class CacheEntry:
 class StatsCache:
     """Version-validated LRU cache of serving bundles.
 
-    Thread-safe: the server handles requests from a thread pool (and the
-    loadgen drives it from many client threads), so map mutations are
-    guarded by a lock.  ANALYZE builds themselves happen *outside* this
+    Thread-safe: the server's I/O thread and its dedicated connection
+    threads look up concurrently (and the loadgen drives it from many
+    client threads), so map mutations are guarded by a lock.  ANALYZE builds themselves happen *outside* this
     lock — they go through ``AutoStatistics`` (single-flight) or the
     admission controller — so a slow build never blocks unrelated hits.
     """
@@ -144,11 +144,6 @@ class StatsCache:
         """
         with self._lock:
             return self._entries.get((table_name, column_name))
-
-    def invalidate(self, table_name: str, column_name: str) -> None:
-        """Drop the entry (e.g. after ``DROP STATISTICS``); no-op if absent."""
-        with self._lock:
-            self._entries.pop((table_name, column_name), None)
 
     def __len__(self) -> int:
         """Number of cached columns."""

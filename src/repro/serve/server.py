@@ -325,11 +325,7 @@ class StatsServer:
                     f"build of {table_name}.{column} shed by admission "
                     "control and no previous statistics exist"
                 ) from None
-        with self._counts_lock:
-            self.degraded_served += 1
-        _metrics.inc("repro_serve_degraded_total")
-        if self.telemetry is not None:
-            self.telemetry.record_event("degraded")
+        self._count_degraded()
         return {
             "summary": stats.summary(),
             "n": stats.n,
@@ -339,6 +335,14 @@ class StatsServer:
             "degraded": True,
             "admission": AdmissionDecision.SHED,
         }
+
+    def _count_degraded(self) -> None:
+        """Tally one degraded answer in the counters, metrics and telemetry."""
+        with self._counts_lock:
+            self.degraded_served += 1
+        _metrics.inc("repro_serve_degraded_total")
+        if self.telemetry is not None:
+            self.telemetry.record_event("degraded")
 
     # -- Estimates -----------------------------------------------------
 
@@ -370,11 +374,7 @@ class StatsServer:
         entry = self._serving_entry(table, column)
         stats = entry.statistics
         if stats.degraded:
-            with self._counts_lock:
-                self.degraded_served += 1
-            _metrics.inc("repro_serve_degraded_total")
-            if self.telemetry is not None:
-                self.telemetry.record_event("degraded")
+            self._count_degraded()
         if op == "estimate_range":
             lo, hi = float(fields["lo"]), float(fields["hi"])
             rows = entry.index.estimate_range(lo, hi)

@@ -12,9 +12,9 @@ from .faults import (
     FaultyHeapFile,
     ReadBudget,
     RetryPolicy,
+    page_checksum,
     read_page_resilient,
     read_record_resilient,
-    resilient_scan,
 )
 from .heapfile import HeapFile
 from .iostats import IOStats
@@ -26,7 +26,6 @@ from .layout import (
     sorted_layout,
     value_runs_layout,
 )
-from .page import Page, page_checksum
 from .record import DEFAULT_PAGE_SIZE, RecordSpec
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "RetryPolicy",
     "read_page_resilient",
     "read_record_resilient",
-    "resilient_scan",
     "HeapFile",
     "IOStats",
     "page_checksum",
@@ -47,7 +45,6 @@ __all__ = [
     "random_layout",
     "sorted_layout",
     "value_runs_layout",
-    "Page",
     "DEFAULT_PAGE_SIZE",
     "RecordSpec",
 ]

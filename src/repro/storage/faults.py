@@ -8,8 +8,8 @@ makes the simulator behave like a storage stack that serves traffic:
 - :class:`FaultPolicy` — a seeded, deterministic description of what goes
   wrong: transient read failures (:class:`~repro.exceptions.TransientIOError`),
   permanently corrupt pages (:class:`~repro.exceptions.PageCorruptionError`,
-  detected through the per-page checksum of
-  :func:`~repro.storage.page.page_checksum`), and per-read latency.
+  detected through the per-page checksum of :func:`page_checksum`), and
+  per-read latency.
 - :class:`FaultyHeapFile` — wraps any :class:`~repro.storage.heapfile.HeapFile`
   and injects the policy's faults on every access path.  With an all-zero
   policy it is behaviourally identical to the wrapped file (same payloads,
@@ -19,9 +19,10 @@ makes the simulator behave like a storage stack that serves traffic:
 - :class:`ReadBudget` / :class:`BudgetTracker` — a per-build cap on failures,
   skipped pages and simulated time; exceeding it raises
   :class:`~repro.exceptions.BuildAbortedError`.
-- :func:`read_page_resilient` / :func:`read_record_resilient` /
-  :func:`resilient_scan` — the retrying access paths used by the samplers,
-  and :func:`read_pages_resilient`, their one page-batch read path.
+- :func:`read_page_resilient` / :func:`read_record_resilient` — the
+  retrying access paths used by the samplers, and
+  :func:`read_pages_resilient`, their one page-batch read path (full
+  scans included).
 
 Every random decision is a pure function of ``(policy seed, page id,
 attempt index)`` — derived through :class:`numpy.random.SeedSequence`, the
@@ -32,6 +33,7 @@ worker counts, and retries do not perturb the sampler's own RNG stream.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,6 @@ from ..exceptions import (
     TransientIOError,
 )
 from .heapfile import HeapFile
-from .page import page_checksum
 
 __all__ = [
     "FaultPolicy",
@@ -60,7 +61,7 @@ __all__ = [
     "read_page_resilient",
     "read_pages_resilient",
     "read_record_resilient",
-    "resilient_scan",
+    "page_checksum",
 ]
 
 # Stream tags keeping the policy's independent decision streams from
@@ -79,6 +80,18 @@ def _hashed_uniform(entropy: tuple[int, ...]) -> float:
     reproducible regardless of interleaving with the sampler's own stream.
     """
     return float(np.random.default_rng(entropy).random())
+
+
+def page_checksum(values: np.ndarray) -> int:
+    """CRC-32 of a page payload's raw bytes.
+
+    This is the integrity check the fault-injection layer uses to *detect*
+    simulated corruption: a :class:`FaultyHeapFile` tampers with a bad
+    page's payload and the mismatch against the checksum computed at load
+    time surfaces as a :class:`~repro.exceptions.PageCorruptionError`.
+    """
+    payload = np.ascontiguousarray(np.asarray(values))
+    return zlib.crc32(payload.tobytes())
 
 
 @dataclass(frozen=True)
@@ -269,8 +282,8 @@ class FaultyHeapFile(HeapFile):
     def scan(self) -> np.ndarray:
         """Full scan through the faulty read path.
 
-        Raises on the first fault; use :func:`resilient_scan` to retry and
-        skip bad pages instead.
+        Raises on the first fault; use :func:`read_pages_resilient` with a
+        retry policy to retry and skip bad pages instead.
         """
         return self.read_pages(range(self.num_pages))
 
@@ -688,21 +701,3 @@ def read_record_resilient(
     if payload is None:
         return None
     return payload[record_index - page_id * heapfile.blocking_factor]
-
-
-def resilient_scan(
-    heapfile: HeapFile,
-    retry: RetryPolicy | None = None,
-    budget: BudgetTracker | None = None,
-) -> np.ndarray:
-    """Full scan that retries transients and skips unreadable pages."""
-    chunks = []
-    for page_id in range(heapfile.num_pages):
-        payload = read_page_resilient(
-            heapfile, page_id, retry=retry, budget=budget
-        )
-        if payload is not None:
-            chunks.append(payload)
-    if not chunks:
-        return heapfile.values_unaccounted()[:0]
-    return np.concatenate(chunks)

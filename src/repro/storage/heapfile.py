@@ -21,7 +21,6 @@ from ..core import kernels
 from ..exceptions import ParameterError
 from .iostats import IOStats
 from .layout import apply_layout, read_only_view
-from .page import Page
 from .record import RecordSpec
 
 __all__ = ["HeapFile"]
@@ -186,11 +185,6 @@ class HeapFile:
         """Iterate page payloads in order, charging each page."""
         for page_id in range(self.num_pages):
             yield self.read_page(page_id)
-
-    def materialize_page(self, page_id: int) -> Page:
-        """A :class:`Page` object for *page_id* (charged as one read)."""
-        payload = self.read_page(page_id)
-        return Page.from_values(page_id, payload, capacity=self._blocking_factor)
 
     # ------------------------------------------------------------------
     # Unaccounted access (oracle / ground truth only)

@@ -105,6 +105,40 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             EquiHeightHistogram(np.array([1.0]), np.array([1, 1]), 5, 2)
 
+    @pytest.mark.parametrize(
+        "separators, lo, hi",
+        [
+            ([np.nan], 0, 2),
+            ([1.0, np.nan], 0, 2),
+            ([np.inf], 0, 2),
+            ([-np.inf], 0, 2),
+            ([1.0], np.nan, 2),
+            ([1.0], 0, np.nan),
+            ([1.0], -np.inf, 2),
+            ([1.0], 0, np.inf),
+        ],
+    )
+    def test_non_finite_separators_and_extrema_rejected(self, separators, lo, hi):
+        # NaN compares false both ways, so no order check catches it.
+        counts = np.ones(len(separators) + 1, dtype=np.int64)
+        with pytest.raises(ParameterError, match="finite"):
+            EquiHeightHistogram(np.array(separators), counts, lo, hi)
+
+    @pytest.mark.parametrize(
+        "counts, eq_counts",
+        [([1.5, 1.0], None), ([1.0, np.inf], None), ([1, 1], [0.5])],
+    )
+    def test_fractional_counts_rejected(self, counts, eq_counts):
+        with pytest.raises(ParameterError, match="whole numbers"):
+            EquiHeightHistogram(
+                np.array([1.0]), np.array(counts), 0, 2, eq_counts=eq_counts
+            )
+
+    def test_whole_float_counts_accepted(self):
+        hist = EquiHeightHistogram(np.array([1.0]), np.array([2.0, 3.0]), 0, 2)
+        np.testing.assert_array_equal(hist.counts, [2, 3])
+        assert hist.counts.dtype == np.int64
+
 
 class TestBucketSemantics:
     """The paper's convention: B_j = {v : s_{j-1} < v <= s_j}."""

@@ -72,6 +72,23 @@ class TestRoundTrips:
         with pytest.raises(ParameterError):
             histogram_from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "compressed"},
+            {"type": "compressed", "singletons": 5, "total": 0},
+            {"type": "compressed", "singletons": [5], "total": 5},
+            {"type": "compressed", "singletons": [{"value": 1, "count": 2.5}],
+             "total": 2},
+            {"type": "compressed", "singletons": [], "total": "0"},
+            {"type": "equi_width", "edges": "01", "counts": [1]},
+            {"type": "equi_width", "edges": [0, 1], "counts": [None]},
+        ],
+    )
+    def test_wrong_typed_fields_rejected(self, payload):
+        with pytest.raises(ParameterError):
+            histogram_from_dict(payload)
+
 
 class TestPageBudget:
     def test_int32_budget_matches_paper(self):

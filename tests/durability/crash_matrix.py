@@ -1,4 +1,4 @@
-"""Crash chaos for the durability layer.
+"""The catalog crash matrix: a test helper for the durability layer.
 
 :func:`catalog_crash_matrix` sweeps *every* durable write operation of a
 scripted catalog workload (puts, drops, checkpoints) as a crash point, in
@@ -23,15 +23,10 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..engine.serialization import statistics_to_dict
-from ..exceptions import SimulatedCrashError
-from ..storage.faults import WriteFaultPolicy
-from .catalog_store import CatalogStore
-
-__all__ = [
-    "CrashOutcome",
-    "catalog_crash_matrix",
-]
+from repro.durability import CatalogStore
+from repro.engine.serialization import statistics_to_dict
+from repro.exceptions import SimulatedCrashError
+from repro.storage.faults import WriteFaultPolicy
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,7 @@ class CrashOutcome:
     consistent: bool
 
 
-def _state_fingerprint(catalog) -> dict:
+def state_fingerprint(catalog) -> dict:
     """Deterministic (version, payload) fingerprint of a catalog's state."""
     return {
         f"{table}.{column}": (
@@ -100,16 +95,15 @@ def catalog_crash_matrix(
     scratch directory receiving one subdirectory per matrix cell.  Every
     reopen is performed fault-free — recovery itself must never raise —
     and every outcome's ``consistent`` flag asserts the last-known-good
-    contract.  Callers (tests, docs) check ``all(o.consistent for o in
-    outcomes)``.
+    contract.  Callers check ``all(o.consistent for o in outcomes)``.
     """
     root = Path(root)
     baseline = CatalogStore(root / "baseline", write_faults=WriteFaultPolicy())
     steps = _script_steps(bundles)
-    prefixes = [_state_fingerprint(baseline.catalog)]
+    prefixes = [state_fingerprint(baseline.catalog)]
     for step in steps:
         step(baseline)
-        prefixes.append(_state_fingerprint(baseline.catalog))
+        prefixes.append(state_fingerprint(baseline.catalog))
     total_ops = baseline._injector.ops
 
     outcomes = []
@@ -140,10 +134,9 @@ def catalog_crash_matrix(
                     completed_steps=completed,
                     recoveries=dict(reopened.recoveries),
                     consistent=(
-                        _state_fingerprint(reopened.catalog)
+                        state_fingerprint(reopened.catalog)
                         == prefixes[completed]
                     ),
                 )
             )
     return outcomes
-

@@ -7,13 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.durability import CatalogStore, catalog_crash_matrix
-from repro.durability.chaos import _state_fingerprint
+from repro.durability import CatalogStore
 from repro.durability.journal import read_records
 from repro.engine import StatisticsManager, Table
 from repro.engine.serialization import statistics_to_dict
 from repro.exceptions import SimulatedCrashError
 from repro.storage.faults import WriteFaultPolicy
+
+from .crash_matrix import catalog_crash_matrix, state_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ class TestRoundTrip:
         assert reopened.replayed == 2
         assert reopened.catalog.version("t", bundles[0].column_name) == 2
         assert ("t", bundles[1].column_name) not in reopened.catalog
-        assert _state_fingerprint(reopened.catalog) == _state_fingerprint(
+        assert state_fingerprint(reopened.catalog) == state_fingerprint(
             store.catalog
         )
 
@@ -101,7 +102,7 @@ class TestCrashRecovery:
         reopened = CatalogStore(tmp_path)
         # ... but seq <= last_seq keeps replay from double-applying them.
         assert reopened.replayed == 0
-        assert _state_fingerprint(reopened.catalog) == _state_fingerprint(
+        assert state_fingerprint(reopened.catalog) == state_fingerprint(
             store.catalog
         )
 

@@ -1,12 +1,14 @@
-"""Tests for ColumnStatistics / catalog persistence."""
+"""Tests for ColumnStatistics persistence."""
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.durability import CatalogStore
 from repro.engine import StatisticsManager, Table
 from repro.engine.serialization import (
-    dump_catalog,
-    load_catalog,
     statistics_from_dict,
     statistics_from_json,
     statistics_to_dict,
@@ -77,27 +79,99 @@ class TestStatisticsRoundTrip:
             statistics_from_dict(payload)
 
 
-class TestCatalogRoundTrip:
-    def test_dump_and_load(self, built_stats):
-        manager, _, dataset = built_stats
-        table = Table("sales", {"qty": np.arange(20_000)})
-        manager.analyze(table, "qty", k=10, f=0.3, rng=2)
 
-        text = dump_catalog(manager.catalog)
-        restored = load_catalog(text)
-        assert restored.keys() == manager.catalog.keys()
-        original = manager.catalog.get("sales", "amount")
-        loaded = restored.get("sales", "amount")
-        assert loaded.histogram == original.histogram
+#: Each malformed bundle, as ``(path, value)``: the saved bundle with the
+#: field at *path* set to *value*.  Before they were rejected, `repro
+#: estimate` answered 0 rows for NaN separators, printed `nan` for a NaN
+#: density and died with a traceback on `"n": "x"`.
+MALFORMED = {
+    # k = 10, so nine separators.
+    "nan-separators": (("histogram", "separators"), [float("nan")] * 9),
+    "inf-separator": (("histogram", "separators", 0), float("inf")),
+    "string-separator": (("histogram", "separators", 0), "1"),
+    "nan-min-value": (("histogram", "min_value"), float("nan")),
+    "inf-max-value": (("histogram", "max_value"), float("inf")),
+    "string-max-value": (("histogram", "max_value"), "999"),
+    "fractional-count": (("histogram", "counts", 0), 1.5),
+    "fractional-eq-count": (("histogram", "eq_counts", 0), 0.5),
+    "huge-count": (("histogram", "counts", 0), 10**30),
+    "ragged-counts": (("histogram", "counts"), [[1], [1, 2]]),
+    "equi-width-histogram": (
+        ("histogram",), {"type": "equi_width", "edges": [0, 1], "counts": [1]}
+    ),
+    "nan-density": (("density",), float("nan")),
+    "inf-selfjoin-density": (("selfjoin_density",), float("inf")),
+    "nan-distinct-estimate": (("distinct_estimate",), float("nan")),
+    "string-n": (("n",), "x"),
+    "fractional-n": (("n",), 1000.5),
+    "bool-n": (("n",), True),
+    "string-sample-size": (("sample_size",), "1000"),
+    "string-converged": (("converged",), "false"),
+    "list-io": (("io",), [1, 2]),
+    "numeric-table-name": (("table_name",), 7),
+}
 
-    def test_empty_catalog(self):
-        from repro.engine.catalog import Catalog
 
-        restored = load_catalog(dump_catalog(Catalog()))
-        assert len(restored) == 0
+@pytest.fixture(scope="module")
+def saved_bundle() -> str:
+    """A valid 1,000-row bundle, as ``repro analyze --save`` writes it."""
+    values = np.random.default_rng(0).integers(1, 1000, size=1000)
+    stats = StatisticsManager().analyze(
+        Table("cli", {"value": values}), "value", k=10, f=0.1, rng=0
+    )
+    return statistics_to_json(stats)
 
-    def test_bad_catalog_payload_rejected(self):
+
+@pytest.fixture(params=sorted(MALFORMED))
+def malformed(request, saved_bundle) -> dict:
+    """The saved bundle's payload with one field malformed."""
+    payload = json.loads(saved_bundle)
+    (*parents, last), value = MALFORMED[request.param]
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return payload
+
+
+class TestMalformedBundles:
+    """A malformed bundle is a typed error, never a silent answer."""
+
+    def test_from_dict_raises_parameter_error(self, malformed):
         with pytest.raises(ParameterError):
-            load_catalog('{"no_entries": true}')
-        with pytest.raises(ParameterError):
-            load_catalog("not json at all")
+            statistics_from_dict(malformed)
+
+    def test_estimate_cli_prints_one_error_line(
+        self, malformed, tmp_path, capsys
+    ):
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(malformed))
+        code = main(
+            ["estimate", str(path), "--range", "10", "500", "--equals", "5",
+             "--distinct"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_snapshot_holding_one_is_corrupt(
+        self, malformed, saved_bundle, tmp_path
+    ):
+        store = CatalogStore(tmp_path)
+        store.put(statistics_from_json(saved_bundle))
+        store.checkpoint()
+        path = tmp_path / CatalogStore.SNAPSHOT_NAME
+        snapshot = json.loads(path.read_text())
+        snapshot["entries"][0]["statistics"] = malformed
+        path.write_text(json.dumps(snapshot))
+        reopened = CatalogStore(tmp_path)
+        assert reopened.recoveries == {"corrupt_snapshot": 1}
+        assert len(reopened.catalog) == 0
+
+    def test_saved_bundle_itself_is_valid(self, saved_bundle, tmp_path, capsys):
+        path = tmp_path / "stats.json"
+        path.write_text(saved_bundle)
+        assert main(["estimate", str(path), "--range", "10", "500"]) == 0
+        assert "rows with 10 <= value <= 500" in capsys.readouterr().out

@@ -8,6 +8,7 @@ all against the storage simulator.
 import numpy as np
 import pytest
 
+from repro.durability import CatalogStore
 from repro.engine import (
     AutoStatistics,
     RefreshPolicy,
@@ -15,8 +16,6 @@ from repro.engine import (
     Table,
 )
 from repro.engine.serialization import (
-    dump_catalog,
-    load_catalog,
     statistics_from_json,
     statistics_to_json,
 )
@@ -37,9 +36,9 @@ class TestLifecycle:
                 stats.estimate_range(lo, hi)
             )
 
-    def test_catalog_survives_dump_and_refresh_cycle(self):
-        """Dump a multi-column catalog, reload it into a new manager, keep
-        refreshing with the auto policy."""
+    def test_catalog_survives_dump_and_refresh_cycle(self, tmp_path):
+        """Dump a multi-column catalog to a store snapshot, reopen it
+        elsewhere, keep refreshing the original with the auto policy."""
         rng = np.random.default_rng(6)
         table = Table(
             "orders",
@@ -53,8 +52,15 @@ class TestLifecycle:
         auto.analyze(table, "amount", k=20, f=0.25, rng=8)
 
         # Ship the catalog elsewhere.
-        restored = load_catalog(dump_catalog(auto.manager.catalog))
+        catalog = auto.manager.catalog
+        store = CatalogStore(tmp_path)
+        for key in catalog.keys():
+            store.put(catalog.get(*key))
+        store.checkpoint()
+        restored = CatalogStore(tmp_path).catalog
         assert restored.keys() == [("orders", "amount"), ("orders", "qty")]
+        for key in catalog.keys():
+            assert restored.get(*key).histogram == catalog.get(*key).histogram
 
         # Meanwhile the original keeps serving refreshes.
         auto.record_modifications("orders", "qty", 10_000)

@@ -143,16 +143,6 @@ class TestActiveRegistryPlumbing:
         assert outer.counter_value("repro_page_reads_total") == 2
         assert inner.counter_value("repro_page_reads_total") == 5
 
-    def test_enable_disable(self):
-        reg = metrics.enable()
-        try:
-            assert metrics.enabled()
-            metrics.inc("repro_page_reads_total")
-        finally:
-            metrics.disable()
-        assert not metrics.enabled()
-        assert reg.counter_value("repro_page_reads_total") == 1
-
 
 class TestEquiHeightBuckets:
     def test_partitions_all_observations(self):

@@ -84,15 +84,6 @@ class TestLru:
         assert cache.peek("c", "x") is not None
         assert cache.counters()["evictions"] == 1
 
-    def test_invalidate_drops_entry(self):
-        table, auto = _table(), _auto()
-        auto.analyze(table, "x", k=8, f=0.3, rng=0)
-        cache = StatsCache(auto)
-        cache.lookup(table, "x")
-        cache.invalidate("t", "x")
-        assert cache.peek("t", "x") is None
-        cache.invalidate("t", "x")  # no-op when absent
-
     def test_capacity_validated(self):
         with pytest.raises(ParameterError):
             StatsCache(capacity=0)

@@ -24,6 +24,7 @@ from repro.exceptions import (
     StorageError,
     TransientIOError,
 )
+from repro.obs import metrics
 from repro.storage.faults import (
     BudgetTracker,
     FaultPolicy,
@@ -31,8 +32,8 @@ from repro.storage.faults import (
     ReadBudget,
     RetryPolicy,
     read_page_resilient,
+    read_pages_resilient,
     read_record_resilient,
-    resilient_scan,
 )
 from repro.storage.heapfile import HeapFile
 
@@ -41,6 +42,28 @@ def make_file(n=1000, bf=20, rng=0):
     return HeapFile.from_values(
         np.arange(1, n + 1), layout="random", rng=rng, blocking_factor=bf
     )
+
+
+def full_scan(heapfile, retry=None, budget=None):
+    """The guarded full scan of ``StatisticsManager.analyze``."""
+    return read_pages_resilient(
+        heapfile, range(heapfile.num_pages), retry, budget
+    )[0]
+
+
+def page_by_page_scan(heapfile, retry=None, budget=None):
+    """Reference full scan: one :func:`read_page_resilient` per page."""
+    chunks = [
+        payload
+        for payload in (
+            read_page_resilient(heapfile, pid, retry=retry, budget=budget)
+            for pid in range(heapfile.num_pages)
+        )
+        if payload is not None
+    ]
+    if not chunks:
+        return heapfile.values_unaccounted()[:0]
+    return np.concatenate(chunks)
 
 
 class TestFaultPolicy:
@@ -337,15 +360,49 @@ class TestResilientReads:
             read_record_resilient(faulty, bad * faulty.blocking_factor) is None
         )
 
-    def test_resilient_scan_returns_readable_values(self):
+    def test_full_scan_returns_readable_values(self):
         policy = FaultPolicy(
             transient_rate=0.3, corrupt_fraction=0.1, seed=11
         )
         faulty = FaultyHeapFile(make_file(), policy)
-        got = resilient_scan(faulty, retry=RetryPolicy(max_attempts=8, seed=1))
+        got = full_scan(faulty, retry=RetryPolicy(max_attempts=8, seed=1))
         expected = faulty.readable_values_unaccounted()
         # With 8 attempts at rate 0.3, every readable page comes through.
         np.testing.assert_array_equal(np.sort(got), np.sort(expected))
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
+    @pytest.mark.parametrize(
+        "budget",
+        [None, ReadBudget(max_skipped_pages=10), ReadBudget(max_failed_reads=3)],
+        ids=["no-budget", "skip-budget", "aborting-budget"],
+    )
+    def test_full_scan_matches_page_by_page_reference(self, faulty, budget):
+        """Same bytes, IOStats, metrics and abort as one
+        ``read_page_resilient`` per page."""
+
+        def run(scan):
+            heapfile = make_file()
+            if faulty:
+                heapfile = FaultyHeapFile(
+                    heapfile,
+                    FaultPolicy(
+                        transient_rate=0.3, corrupt_fraction=0.1, seed=11
+                    ),
+                )
+            tracker = budget.tracker(heapfile.num_pages) if budget else None
+            with metrics.collecting() as registry:
+                try:
+                    outcome = scan(
+                        heapfile, RetryPolicy(max_attempts=8, seed=1), tracker
+                    ).tobytes()
+                except BuildAbortedError as exc:
+                    outcome = (str(exc), exc.snapshot)
+            return outcome, heapfile.iostats.snapshot(), registry.snapshot()
+
+        got = run(full_scan)
+        assert got == run(page_by_page_scan)
+        failing = budget is not None and budget.max_failed_reads is not None
+        assert isinstance(got[0], tuple) == (faulty and failing)
 
     def test_faulty_reads_are_bit_identical_across_runs(self):
         def run():
@@ -353,7 +410,7 @@ class TestResilientReads:
                 transient_rate=0.4, corrupt_fraction=0.1, seed=21
             )
             faulty = FaultyHeapFile(make_file(), policy)
-            values = resilient_scan(
+            values = full_scan(
                 faulty, retry=RetryPolicy(max_attempts=5, seed=2)
             )
             return values.tolist(), faulty.iostats.snapshot()

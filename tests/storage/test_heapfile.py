@@ -146,12 +146,6 @@ class TestAccessAndAccounting:
         assert hf.iostats.page_reads == 0
         assert hf.iostats.pages_touched == 0
 
-    def test_materialize_page(self):
-        hf = HeapFile(np.arange(100), blocking_factor=10)
-        page = hf.materialize_page(2)
-        assert page.page_id == 2
-        np.testing.assert_array_equal(page.values(), np.arange(20, 30))
-
 
 class TestLayoutIntegration:
     def test_random_layout_preserves_multiset(self):

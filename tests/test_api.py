@@ -67,7 +67,6 @@ class TestExports:
             exceptions.StatisticsNotFoundError, exceptions.CatalogError
         )
         assert issubclass(exceptions.StatisticsNotFoundError, KeyError)
-        assert issubclass(exceptions.PageFullError, exceptions.StorageError)
 
     def test_bounds_module_namespaced(self):
         # bounds is deliberately exposed as a module, not flattened.

@@ -19,7 +19,6 @@ from repro.exceptions import (
     EmptyDataError,
     InfeasibleBoundError,
     PageCorruptionError,
-    PageFullError,
     ParameterError,
     ReproError,
     StatisticsNotFoundError,
@@ -34,7 +33,6 @@ ALL_CONCRETE = [
     InfeasibleBoundError("bound infeasible"),
     BuildAbortedError("budget gone", snapshot={"failed_reads": 3}),
     StorageError("storage"),
-    PageFullError("full"),
     UnknownLayoutError("layout?"),
     TransientIOError("flaky", page_id=7, attempt=2),
     PageCorruptionError("bad checksum", page_id=9),
@@ -53,7 +51,6 @@ class TestHierarchy:
 
     def test_storage_family(self):
         for exc_type in (
-            PageFullError,
             UnknownLayoutError,
             TransientIOError,
             PageCorruptionError,

@@ -374,32 +374,3 @@ class TestDensityProperties:
         n = values.size
         est = selfjoin_density_from_sample(values, n=n)
         assert est == pytest.approx(selfjoin_density(values), abs=1e-9)
-
-
-class TestMergeProperties:
-    @given(
-        a=value_arrays,
-        b=value_arrays,
-        k=st.integers(min_value=2, max_value=16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_preserves_total_and_range(self, a, b, k):
-        from repro.core.merge import merge_equi_height
-
-        left = EquiHeightHistogram.from_values(a, k)
-        right = EquiHeightHistogram.from_values(b, k)
-        merged = merge_equi_height(left, right, k=k)
-        assert merged.total == left.total + right.total
-        assert merged.min_value == min(left.min_value, right.min_value)
-        assert merged.max_value == max(left.max_value, right.max_value)
-        assert merged.k == k
-
-    @given(a=value_arrays, k=st.integers(min_value=2, max_value=12))
-    @settings(max_examples=60, deadline=None)
-    def test_self_merge_estimates_double(self, a, k):
-        from repro.core.merge import merge_equi_height
-
-        hist = EquiHeightHistogram.from_values(a, k)
-        merged = merge_equi_height(hist, hist, k=k)
-        full = merged.estimate_range(float(a.min()), float(a.max()))
-        assert full == pytest.approx(2 * a.size, rel=0.02, abs=2)

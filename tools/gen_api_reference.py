@@ -37,7 +37,6 @@ SECTIONS = [
         [
             "repro.storage.heapfile",
             "repro.storage.layout",
-            "repro.storage.page",
             "repro.storage.record",
             "repro.storage.iostats",
             "repro.storage.faults",
@@ -67,7 +66,6 @@ SECTIONS = [
             "repro.core.compressed",
             "repro.core.equiwidth",
             "repro.core.maxdiff",
-            "repro.core.merge",
             "repro.core.serialization",
         ],
     ),
@@ -134,7 +132,6 @@ SECTIONS = [
             "repro.durability.journal",
             "repro.durability.catalog_store",
             "repro.durability.runjournal",
-            "repro.durability.chaos",
         ],
     ),
     (
